@@ -137,16 +137,16 @@ def _censored_z(mu, sigma):
     return z
 
 
-def censored_nll_array(y, mu, sigma, censor_threshold=0.0):
+def censored_nll_array(y, mu, sigma):
     """Elementwise censored negative log-likelihood (vectorized fast path).
 
-    Entries with ``y <= censor_threshold`` use the censored branch. Inputs
-    are assumed validated (sigma > 0, y >= 0); shapes must broadcast.
+    Entries with ``y <= 0`` use the censored branch. Inputs are assumed
+    validated (sigma > 0, y >= 0); shapes must broadcast.
     """
     y = np.asarray(y, dtype=np.float64)
     mu = np.asarray(mu, dtype=np.float64)
     sigma = np.asarray(sigma, dtype=np.float64)
-    censored = y <= censor_threshold
+    censored = y <= 0.0
     resid = (y - mu) / sigma
     out = 0.5 * resid * resid + np.log(sigma) + LOG_SQRT_2PI
     if np.any(censored):
@@ -155,7 +155,7 @@ def censored_nll_array(y, mu, sigma, censor_threshold=0.0):
     return out
 
 
-def grad_mu_censored_nll_array(y, mu, sigma, censor_threshold=0.0):
+def grad_mu_censored_nll_array(y, mu, sigma):
     """Elementwise d(censored_nll)/d(mu) (vectorized fast path).
 
     Uncensored entries contribute ``-(y - mu)/sigma^2``; censored entries the
@@ -165,7 +165,7 @@ def grad_mu_censored_nll_array(y, mu, sigma, censor_threshold=0.0):
     y = np.asarray(y, dtype=np.float64)
     mu = np.asarray(mu, dtype=np.float64)
     sigma = np.asarray(sigma, dtype=np.float64)
-    censored = y <= censor_threshold
+    censored = y <= 0.0
     out = -(y - mu) / (sigma * sigma)
     if np.any(censored):
         z = _censored_z(np.where(censored, mu, 0.0), sigma)
@@ -175,18 +175,16 @@ def grad_mu_censored_nll_array(y, mu, sigma, censor_threshold=0.0):
     return out
 
 
-def censored_nll(term: CensoredNllTerm, censor_threshold: float = 0.0) -> float:
+def censored_nll(term: CensoredNllTerm) -> float:
     """Negative log-likelihood of one censored observation."""
-    return float(censored_nll_array(term.y, term.mu, term.sigma,
-                                    censor_threshold=censor_threshold))
+    return float(censored_nll_array(term.y, term.mu, term.sigma))
 
 
-def grad_mu_censored_nll(term: CensoredNllTerm, censor_threshold: float = 0.0) -> float:
+def grad_mu_censored_nll(term: CensoredNllTerm) -> float:
     """Derivative of `censored_nll` with respect to the linear predictor.
 
     Callers apply the chain rule onto the factor matrices themselves: the
     gradient with respect to a sketch row or basis row is this scalar times
     the corresponding input vector.
     """
-    return float(grad_mu_censored_nll_array(term.y, term.mu, term.sigma,
-                                            censor_threshold=censor_threshold))
+    return float(grad_mu_censored_nll_array(term.y, term.mu, term.sigma))

@@ -6,46 +6,27 @@
                                         batch predictions from a saved model
 
 Exit codes: 0 ok, 1 config error, 2 IO error, 3 numeric failure in every
-cell. The SSN_THREADS environment variable caps the per-cell worker pool.
+cell. `validate` loads the config exactly as `run` does, so a config that
+validates also runs. Cells run one after another in one process.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 
 import numpy as np
 
-from .config import load_config, validate_config_dict
+from .config import load_config
 from .data import parse_numeric_csv
 from .errors import ConfigError, ModelFormatError, ParseError, SubspaceNetError
 from .experiments import run_experiment
 from .network import forward_batch, load_model
 
 
-def _cmd_validate(args) -> int:
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"{args.config}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}",
-              file=sys.stderr)
-        return 1
-    problems = validate_config_dict(obj)
-    if problems:
-        for problem in problems:
-            print(f"{args.config}: {problem}", file=sys.stderr)
-        return 1
-    print("OK")
-    return 0
-
-
-def _cmd_run(args) -> int:
+def _cmd_config(args) -> int:
+    """`validate` and `run`: both load the config the same way."""
     try:
         cfg = load_config(args.config)
     except OSError as exc:
@@ -54,6 +35,9 @@ def _cmd_run(args) -> int:
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 1
+    if args.command == "validate":
+        print("OK")
+        return 0
     try:
         return run_experiment(cfg)
     except OSError as exc:
@@ -103,11 +87,11 @@ def main(argv=None) -> int:
 
     p_validate = sub.add_parser("validate", help="check a config file")
     p_validate.add_argument("config")
-    p_validate.set_defaults(func=_cmd_validate)
+    p_validate.set_defaults(func=_cmd_config)
 
     p_run = sub.add_parser("run", help="run the configured experiment")
     p_run.add_argument("config")
-    p_run.set_defaults(func=_cmd_run)
+    p_run.set_defaults(func=_cmd_config)
 
     p_predict = sub.add_parser("predict", help="predict from a saved model")
     p_predict.add_argument("--model", required=True)

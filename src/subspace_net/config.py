@@ -44,8 +44,10 @@ level; every violation is reported with its JSON path. The schema (version
       "save_traces": bool
     }
 
-Only "experiment", "output_dir" and "seeds" are required; everything else
-has the defaults below. For hyperparameter sweeps beyond ranks and
+Only "experiment", "output_dir" and "seeds" are required. Each key's
+default and validation rule live on its field of `DataConfig`,
+`TrainSection` or `ExperimentConfig`, which are the schema the validator
+and the loader read. For hyperparameter sweeps beyond ranks and
 fractions (for example the regularization grid 1e-4, 1e-3, 1e-2, 1e-1),
 run one config per value.
 """
@@ -53,7 +55,7 @@ run one config per value.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 from .errors import ConfigError
 
@@ -65,255 +67,210 @@ DATA_KINDS = ("planted", "planted_deep", "planted_hetero", "csv")
 SIGMA_POLICIES = ("scaled", "planted")
 
 
+def _real(val) -> bool:
+    return not isinstance(val, bool) and isinstance(val, (int, float))
+
+
+def _integer(val) -> bool:
+    return not isinstance(val, bool) and isinstance(val, int)
+
+
+def _number(*, integer=False, minimum=None, exclusive_min=None):
+    def check(val):
+        if not _real(val):
+            return f"must be a number, got {type(val).__name__}"
+        if integer and not isinstance(val, int):
+            return "must be an integer"
+        if minimum is not None and val < minimum:
+            return f"must be >= {minimum}, got {val}"
+        if exclusive_min is not None and val <= exclusive_min:
+            return f"must be > {exclusive_min}, got {val}"
+        return None
+    return check
+
+
+def _one_of(options, message):
+    return lambda val: None if val in options else message
+
+
+def _list_of(ok, message):
+    """A nonempty list whose every entry passes ``ok``."""
+    return lambda val: (None if isinstance(val, list) and val and all(map(ok, val))
+                        else message)
+
+
+def _nonempty_string(val):
+    return None if isinstance(val, str) and val else "required nonempty string"
+
+
+def _nonempty_list(val):
+    return None if isinstance(val, list) and val else "must be a nonempty list"
+
+
+def _boolean(val):
+    return None if isinstance(val, bool) else "must be a boolean"
+
+
+def _sigma_policy(val):
+    if (isinstance(val, str) and val in SIGMA_POLICIES) or (_real(val) and val > 0):
+        return None
+    return f"must be a positive number or one of {SIGMA_POLICIES}"
+
+
+def _fraction(val):
+    if _real(val) and 0.0 < val < 1.0:
+        return None
+    return f"must lie strictly in (0, 1), got {val}"
+
+
+def _setting(default, check, *, key=None, each=None):
+    """A config field: its default, its validation rule ``check`` (value ->
+    message or None), its JSON key when that differs from the field name,
+    and for lists an optional rule ``each`` for every entry. A field without
+    a default is required."""
+    meta = {"check": check, "key": key, "each": each}
+    if isinstance(default, list):
+        return field(default_factory=lambda: list(default), metadata=meta)
+    return field(default=default, metadata=meta)
+
+
+_COUNT = _number(integer=True, minimum=1)
+_NONNEGATIVE = _number(minimum=0.0)
+_POSITIVE = _number(exclusive_min=0.0)
+
+
+def _csv_path(val):
+    return None if isinstance(val, str) else "required string for csv data"
+
+
 @dataclass
 class DataConfig:
-    kind: str = "planted"
-    n: int = 2000
-    d: int = 50
-    t: int = 20
-    r: int = 5
-    sigma: float = 3.0
-    sigma_set: list = field(default_factory=lambda: [0.5, 3.0])
-    depth: int = 3
-    features_path: str | None = None
-    targets_path: str | None = None
+    kind: str = _setting(
+        "planted", _one_of(DATA_KINDS, f"must be one of {DATA_KINDS}"))
+    n: int = _setting(2000, _COUNT)
+    d: int = _setting(50, _COUNT)
+    t: int = _setting(20, _COUNT)
+    r: int = _setting(5, _COUNT)
+    sigma: float = _setting(3.0, _NONNEGATIVE)
+    sigma_set: list = _setting(
+        [0.5, 3.0], _list_of(lambda v: _real(v) and v > 0,
+                             "must be a nonempty list of positive numbers"))
+    depth: int = _setting(3, _COUNT)
+    features_path: str | None = _setting(None, _csv_path)
+    targets_path: str | None = _setting(None, _csv_path)
 
 
 @dataclass
 class TrainSection:
-    eta: float = 2e-4
-    mu: float = 2e-3
-    lam: float = 1e-3
-    rank: int = 5
-    v_inner_steps: int = 8
-    init_scale: float = 1.0
-    step_decay: bool = True
-    step_offset: float = 500.0
-    scale_steps: bool = False
-    sigma: object = "scaled"
-    sigma_scale: float = 0.1
+    eta: float = _setting(2e-4, _POSITIVE)
+    mu: float = _setting(2e-3, _POSITIVE)
+    lam: float = _setting(1e-3, _NONNEGATIVE, key="lambda")
+    rank: int = _setting(5, _COUNT)
+    v_inner_steps: int = _setting(8, _COUNT)
+    init_scale: float = _setting(1.0, _POSITIVE)
+    step_decay: bool = _setting(True, _boolean)
+    step_offset: float = _setting(500.0, _POSITIVE)
+    scale_steps: bool = _setting(False, _boolean)
+    sigma: object = _setting("scaled", _sigma_policy)
+    sigma_scale: float = _setting(0.1, _POSITIVE)
 
 
 @dataclass
 class ExperimentConfig:
-    experiment: str
-    output_dir: str
-    seeds: list
+    experiment: str = _setting(
+        MISSING, _one_of(EXPERIMENTS, f"must be one of {EXPERIMENTS}"))
+    output_dir: str = _setting(MISSING, _nonempty_string)
+    seeds: list = _setting(
+        MISSING, _list_of(_integer, "required nonempty list of integers"))
     data: DataConfig = field(default_factory=DataConfig)
     train: TrainSection = field(default_factory=TrainSection)
-    depth: int = 3
-    skip_mode: str = "concat"
-    pred_scale: float = 0.1
-    calibrate: bool = False
-    residual_set: str = "all"
-    fractions: list | None = None
-    ranks: list | None = None
-    ridge_lambda: float = 1.0
-    include_baselines: bool = False
-    save_models: bool = True
-    save_traces: bool = True
+    depth: int = _setting(3, _COUNT)
+    skip_mode: str = _setting("concat", _one_of(("concat", "naive"),
+                                                "must be 'concat' or 'naive'"))
+    pred_scale: float = _setting(0.1, _POSITIVE)
+    calibrate: bool = _setting(False, _boolean)
+    residual_set: str = _setting("all", _one_of(("all", "uncensored"),
+                                                "must be 'all' or 'uncensored'"))
+    fractions: list | None = _setting(None, _nonempty_list, each=_fraction)
+    ranks: list | None = _setting(
+        None, _list_of(lambda v: _integer(v) and v >= 1,
+                       "must be a nonempty list of positive integers"))
+    ridge_lambda: float = _setting(1.0, _NONNEGATIVE)
+    include_baselines: bool = _setting(False, _boolean)
+    save_models: bool = _setting(True, _boolean)
+    save_traces: bool = _setting(True, _boolean)
 
 
 def _err(path, msg):
     return f"{path}: {msg}"
 
 
-def _check_number(problems, obj, key, path, *, required=False, integer=False,
-                  minimum=None, maximum=None, exclusive_min=None):
-    if key not in obj:
-        if required:
-            problems.append(_err(f"{path}.{key}", "missing required key"))
-        return None
-    val = obj[key]
-    loc = f"{path}.{key}"
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        problems.append(_err(loc, f"must be a number, got {type(val).__name__}"))
-        return None
-    if integer and not isinstance(val, int):
-        problems.append(_err(loc, "must be an integer"))
-        return None
-    if minimum is not None and val < minimum:
-        problems.append(_err(loc, f"must be >= {minimum}, got {val}"))
-        return None
-    if exclusive_min is not None and val <= exclusive_min:
-        problems.append(_err(loc, f"must be > {exclusive_min}, got {val}"))
-        return None
-    if maximum is not None and val > maximum:
-        problems.append(_err(loc, f"must be <= {maximum}, got {val}"))
-        return None
-    return val
+def _key(f) -> str:
+    return f.metadata.get("key") or f.name
 
 
-def _check_unknown(problems, obj, allowed, path):
+def _section(f):
+    """The dataclass of a nested section field, or None."""
+    return f.default_factory if is_dataclass(f.default_factory) else None
+
+
+def _validate(problems, cls, obj, path, extra_keys=()):
+    """Check ``obj`` against the fields of ``cls``, reporting under ``path``.
+    Absent keys take their defaults; null stands for an absent key only
+    where the default itself is null."""
+    known = {_key(f): f for f in fields(cls)}
     for key in obj:
-        if key not in allowed:
+        if key not in known and key not in extra_keys:
             problems.append(_err(f"{path}.{key}", "unknown key"))
-
-
-def _validate_data(problems, obj):
-    allowed = {"kind", "n", "d", "t", "r", "sigma", "sigma_set", "depth",
-               "features_path", "targets_path"}
-    _check_unknown(problems, obj, allowed, "data")
-    kind = obj.get("kind", "planted")
-    if kind not in DATA_KINDS:
-        problems.append(_err("data.kind", f"must be one of {DATA_KINDS}"))
-        return
-    if kind == "csv":
-        for key in ("features_path", "targets_path"):
-            if not isinstance(obj.get(key), str):
-                problems.append(_err(f"data.{key}", "required string for csv data"))
-        return
-    _check_number(problems, obj, "n", "data", integer=True, minimum=1)
-    _check_number(problems, obj, "d", "data", integer=True, minimum=1)
-    _check_number(problems, obj, "t", "data", integer=True, minimum=1)
-    _check_number(problems, obj, "r", "data", integer=True, minimum=1)
-    _check_number(problems, obj, "sigma", "data", minimum=0.0)
-    if kind == "planted_deep":
-        _check_number(problems, obj, "depth", "data", integer=True, minimum=1)
-    if kind == "planted_hetero":
-        ss = obj.get("sigma_set")
-        if ss is not None:
-            if (not isinstance(ss, list) or not ss
-                    or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                           or v <= 0 for v in ss)):
-                problems.append(_err("data.sigma_set",
-                                     "must be a nonempty list of positive numbers"))
-
-
-def _validate_train(problems, obj):
-    allowed = {"eta", "mu", "lambda", "rank", "v_inner_steps", "init_scale",
-               "step_decay", "step_offset", "scale_steps", "sigma", "sigma_scale"}
-    _check_unknown(problems, obj, allowed, "train")
-    _check_number(problems, obj, "eta", "train", exclusive_min=0.0)
-    _check_number(problems, obj, "mu", "train", exclusive_min=0.0)
-    _check_number(problems, obj, "lambda", "train", minimum=0.0)
-    _check_number(problems, obj, "rank", "train", integer=True, minimum=1)
-    _check_number(problems, obj, "v_inner_steps", "train", integer=True, minimum=1)
-    _check_number(problems, obj, "init_scale", "train", exclusive_min=0.0)
-    _check_number(problems, obj, "step_offset", "train", exclusive_min=0.0)
-    _check_number(problems, obj, "sigma_scale", "train", exclusive_min=0.0)
-    for key in ("step_decay", "scale_steps"):
-        if key in obj and not isinstance(obj[key], bool):
-            problems.append(_err(f"train.{key}", "must be a boolean"))
-    if "sigma" in obj:
-        val = obj["sigma"]
-        ok_str = isinstance(val, str) and val in SIGMA_POLICIES
-        ok_num = not isinstance(val, bool) and isinstance(val, (int, float)) and val > 0
-        if not (ok_str or ok_num):
-            problems.append(_err("train.sigma",
-                                 f"must be a positive number or one of {SIGMA_POLICIES}"))
+    for key, f in known.items():
+        loc = f"{path}.{key}"
+        required = f.default is MISSING and f.default_factory is MISSING
+        val = obj.get(key)
+        if (key not in obj and not required) or (val is None and f.default is None):
+            continue
+        if _section(f) is not None:
+            if isinstance(val, dict):
+                _validate(problems, _section(f), val, key)
+            else:
+                problems.append(_err(loc, "must be an object"))
+            continue
+        message = f.metadata["check"](val)
+        if message:
+            problems.append(_err(loc, message))
+        elif f.metadata["each"]:
+            for i, item in enumerate(val):
+                message = f.metadata["each"](item)
+                if message:
+                    problems.append(_err(f"{loc}[{i}]", message))
 
 
 def validate_config_dict(obj) -> list[str]:
     """Check a parsed JSON object against the schema; return all problems."""
-    problems: list[str] = []
     if not isinstance(obj, dict):
         return ["$: config must be a JSON object"]
-    allowed = {"schema_version", "experiment", "output_dir", "seeds", "data",
-               "train", "depth", "skip_mode", "pred_scale", "calibrate",
-               "residual_set", "fractions", "ranks", "ridge_lambda",
-               "include_baselines", "save_models", "save_traces"}
-    _check_unknown(problems, obj, allowed, "$")
-
+    problems: list[str] = []
+    _validate(problems, ExperimentConfig, obj, "$",
+              extra_keys=("schema_version",))
     version = obj.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         problems.append(_err("$.schema_version",
                              f"unsupported version {version!r} (expected {SCHEMA_VERSION})"))
-    if obj.get("experiment") not in EXPERIMENTS:
-        problems.append(_err("$.experiment", f"must be one of {EXPERIMENTS}"))
-    if not isinstance(obj.get("output_dir"), str) or not obj.get("output_dir"):
-        problems.append(_err("$.output_dir", "required nonempty string"))
-    seeds = obj.get("seeds")
-    if (not isinstance(seeds, list) or not seeds
-            or any(isinstance(s, bool) or not isinstance(s, int) for s in seeds)):
-        problems.append(_err("$.seeds", "required nonempty list of integers"))
-
-    if "data" in obj:
-        if isinstance(obj["data"], dict):
-            _validate_data(problems, obj["data"])
-        else:
-            problems.append(_err("$.data", "must be an object"))
-    if "train" in obj:
-        if isinstance(obj["train"], dict):
-            _validate_train(problems, obj["train"])
-        else:
-            problems.append(_err("$.train", "must be an object"))
-
-    _check_number(problems, obj, "depth", "$", integer=True, minimum=1)
-    if "skip_mode" in obj and obj["skip_mode"] not in ("concat", "naive"):
-        problems.append(_err("$.skip_mode", "must be 'concat' or 'naive'"))
-    _check_number(problems, obj, "pred_scale", "$", exclusive_min=0.0)
-    for key in ("calibrate", "include_baselines", "save_models", "save_traces"):
-        if key in obj and not isinstance(obj[key], bool):
-            problems.append(_err(f"$.{key}", "must be a boolean"))
-    if "residual_set" in obj and obj["residual_set"] not in ("all", "uncensored"):
-        problems.append(_err("$.residual_set", "must be 'all' or 'uncensored'"))
-    if "fractions" in obj and obj["fractions"] is not None:
-        fr = obj["fractions"]
-        if not isinstance(fr, list) or not fr:
-            problems.append(_err("$.fractions", "must be a nonempty list"))
-        else:
-            for i, f in enumerate(fr):
-                if isinstance(f, bool) or not isinstance(f, (int, float)) \
-                        or not 0.0 < f < 1.0:
-                    problems.append(_err(f"$.fractions[{i}]",
-                                         f"must lie strictly in (0, 1), got {f}"))
-    if "ranks" in obj and obj["ranks"] is not None:
-        rk = obj["ranks"]
-        if not isinstance(rk, list) or not rk \
-                or any(isinstance(r, bool) or not isinstance(r, int) or r < 1
-                       for r in rk):
-            problems.append(_err("$.ranks", "must be a nonempty list of positive integers"))
-    _check_number(problems, obj, "ridge_lambda", "$", minimum=0.0)
+    data = obj.get("data")
+    if isinstance(data, dict) and data.get("kind") == "csv":
+        for key in ("features_path", "targets_path"):
+            if data.get(key) is None:
+                problems.append(_err(f"data.{key}", "required string for csv data"))
     return problems
 
 
-def _build(obj) -> ExperimentConfig:
-    data_obj = obj.get("data", {})
-    data = DataConfig(
-        kind=data_obj.get("kind", "planted"),
-        n=data_obj.get("n", 2000),
-        d=data_obj.get("d", 50),
-        t=data_obj.get("t", 20),
-        r=data_obj.get("r", 5),
-        sigma=data_obj.get("sigma", 3.0),
-        sigma_set=list(data_obj.get("sigma_set", [0.5, 3.0])),
-        depth=data_obj.get("depth", 3),
-        features_path=data_obj.get("features_path"),
-        targets_path=data_obj.get("targets_path"),
-    )
-    train_obj = obj.get("train", {})
-    train = TrainSection(
-        eta=train_obj.get("eta", 2e-4),
-        mu=train_obj.get("mu", 2e-3),
-        lam=train_obj.get("lambda", 1e-3),
-        rank=train_obj.get("rank", 5),
-        v_inner_steps=train_obj.get("v_inner_steps", 8),
-        init_scale=train_obj.get("init_scale", 1.0),
-        step_decay=train_obj.get("step_decay", True),
-        step_offset=train_obj.get("step_offset", 500.0),
-        scale_steps=train_obj.get("scale_steps", False),
-        sigma=train_obj.get("sigma", "scaled"),
-        sigma_scale=train_obj.get("sigma_scale", 0.1),
-    )
-    return ExperimentConfig(
-        experiment=obj["experiment"],
-        output_dir=obj["output_dir"],
-        seeds=list(obj["seeds"]),
-        data=data,
-        train=train,
-        depth=obj.get("depth", 3),
-        skip_mode=obj.get("skip_mode", "concat"),
-        pred_scale=obj.get("pred_scale", 0.1),
-        calibrate=obj.get("calibrate", False),
-        residual_set=obj.get("residual_set", "all"),
-        fractions=list(obj["fractions"]) if obj.get("fractions") else None,
-        ranks=list(obj["ranks"]) if obj.get("ranks") else None,
-        ridge_lambda=obj.get("ridge_lambda", 1.0),
-        include_baselines=obj.get("include_baselines", False),
-        save_models=obj.get("save_models", True),
-        save_traces=obj.get("save_traces", True),
-    )
+def _build(cls, obj):
+    """Construct ``cls`` from a validated JSON object."""
+    values = {}
+    for f in fields(cls):
+        val = obj.get(_key(f))
+        if val is not None:
+            values[f.name] = _build(_section(f), val) if _section(f) else val
+    return cls(**values)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -328,4 +285,4 @@ def load_config(path) -> ExperimentConfig:
     problems = validate_config_dict(obj)
     if problems:
         raise ConfigError("\n".join(f"{path}: {p}" for p in problems))
-    return _build(obj)
+    return _build(ExperimentConfig, obj)

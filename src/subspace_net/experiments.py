@@ -1,14 +1,14 @@
 """Experiment recipes: dataset preparation, per-cell execution, and report
 files (results.csv, summary.json, traces, model files).
 
-A run evaluates a grid of cells (seed x fraction x rank as configured);
-cells are independent, may execute in a thread pool capped by SSN_THREADS,
-and write their artifacts atomically. A numeric failure in one cell is
-recorded in its ``status`` column without aborting the sweep.
+A run evaluates a grid of cells (seed x fraction x rank as configured) one
+after another, in sorted order. Cells are independent and write their
+artifacts atomically. A numeric failure in one cell is recorded in its
+``status`` column without aborting the sweep.
 
-Per-cell seeds derive two independent streams from the cell seed: one for
-the generator and one for training, so data and initialization randomness
-never alias.
+Every random stream of a cell derives from the cell seed and a tag (0 the
+generator, 1 training, 2 the random coherence reference, 3 the train/valid
+split), so no two of them alias.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import math
 import os
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,12 +160,32 @@ def _cell_paths(cfg: ExperimentConfig, cell: Cell):
             os.path.join(cfg.output_dir, "models", f"{stem}.ssnw"))
 
 
-def _run_single_layer_recovery(cfg: ExperimentConfig, cell: Cell) -> dict:
+def _setup(cfg: ExperimentConfig, cell: Cell):
+    """The preamble of every recipe: the cell's base row, the planted truth
+    (None for csv data), the training and validation data (the full dataset
+    and None unless the cell has a train fraction), the training config and
+    the likelihood noise scale. Both of the last scale with the target RMS
+    of the training data where the config asks for it."""
     row = _base_row(cfg, cell)
     data, truth = _make_data(cfg, _sub_seed(cell.seed, 0))
-    target_rms = float(np.sqrt(np.mean(data.Y ** 2)))
+    train, valid = data, None
+    if cell.fraction is not None:
+        train, valid = split(data, cell.fraction, seed=_sub_seed(cell.seed, 3))
+    target_rms = float(np.sqrt(np.mean(train.Y ** 2)))
     tc = _train_config(cfg, cell.rank, _sub_seed(cell.seed, 1), target_rms)
-    sigma = _resolve_sigma(cfg, truth, target_rms)
+    return row, truth, train, valid, tc, _resolve_sigma(cfg, truth, target_rms)
+
+
+def _expand(cfg: ExperimentConfig, train, tc: TrainConfig, sigma, **overrides):
+    """`expand` to the configured depth with the configured network settings;
+    ``overrides`` replace any of them."""
+    settings = dict(calibrate=cfg.calibrate, skip_mode=cfg.skip_mode, sigma=sigma,
+                    residual_set=cfg.residual_set, pred_scale=cfg.pred_scale)
+    return expand(train, cfg.depth, tc, **{**settings, **overrides})
+
+
+def _run_single_layer_recovery(cfg: ExperimentConfig, cell: Cell) -> dict:
+    row, truth, data, _, tc, sigma = _setup(cfg, cell)
     probe = truth.us[0] if (truth is not None and cell.rank == cfg.data.r) else None
     layer, trace = train_layer(data, tc, probe=probe, sigma=sigma)
     row["samples_seen"] = trace.samples_seen
@@ -192,15 +211,8 @@ def _run_single_layer_recovery(cfg: ExperimentConfig, cell: Cell) -> dict:
 
 
 def _run_deep_recovery(cfg: ExperimentConfig, cell: Cell) -> dict:
-    row = _base_row(cfg, cell)
-    data, truth = _make_data(cfg, _sub_seed(cell.seed, 0))
-    target_rms = float(np.sqrt(np.mean(data.Y ** 2)))
-    tc = _train_config(cfg, cell.rank, _sub_seed(cell.seed, 1), target_rms)
-    sigma = _resolve_sigma(cfg, truth, target_rms)
-    net, traces = expand(data, cfg.depth, tc, calibrate=cfg.calibrate,
-                         skip_mode=cfg.skip_mode, sigma=sigma,
-                         residual_set=cfg.residual_set,
-                         pred_scale=cfg.pred_scale)
+    row, truth, data, _, tc, sigma = _setup(cfg, cell)
+    net, traces = _expand(cfg, data, tc, sigma)
     row["trained_depth"] = net.depth
     if truth is not None:
         # the output-side planted basis structures every greedy layer's tasks
@@ -228,16 +240,8 @@ def _anmse_curve(net, valid, depth: int) -> list[float]:
 
 
 def _run_depth_sweep(cfg: ExperimentConfig, cell: Cell) -> dict:
-    row = _base_row(cfg, cell)
-    data, truth = _make_data(cfg, _sub_seed(cell.seed, 0))
-    train, valid = split(data, cell.fraction, seed=_sub_seed(cell.seed, 3))
-    target_rms = float(np.sqrt(np.mean(train.Y ** 2)))
-    tc = _train_config(cfg, cell.rank, _sub_seed(cell.seed, 1), target_rms)
-    sigma = _resolve_sigma(cfg, truth, target_rms)
-    net, traces = expand(train, cfg.depth, tc, calibrate=cfg.calibrate,
-                         skip_mode=cfg.skip_mode, sigma=sigma,
-                         residual_set=cfg.residual_set,
-                         pred_scale=cfg.pred_scale)
+    row, _, train, valid, tc, sigma = _setup(cfg, cell)
+    net, traces = _expand(cfg, train, tc, sigma)
     row["trained_depth"] = net.depth
     row["samples_seen"] = traces[0].samples_seen
     curve = _anmse_curve(net, valid, cfg.depth)
@@ -255,18 +259,11 @@ def _run_depth_sweep(cfg: ExperimentConfig, cell: Cell) -> dict:
 
 
 def _run_calibration_study(cfg: ExperimentConfig, cell: Cell) -> dict:
-    row = _base_row(cfg, cell)
-    data, truth = _make_data(cfg, _sub_seed(cell.seed, 0))
-    train, valid = split(data, cell.fraction, seed=_sub_seed(cell.seed, 3))
-    target_rms = float(np.sqrt(np.mean(train.Y ** 2)))
-    tc = _train_config(cfg, cell.rank, _sub_seed(cell.seed, 1), target_rms)
-    sigma = _resolve_sigma(cfg, truth, target_rms)
+    row, truth, train, valid, tc, sigma = _setup(cfg, cell)
     results = {}
     for calibrate in (False, True):
-        net, _ = expand(train, cfg.depth, tc, calibrate=calibrate,
-                        skip_mode=cfg.skip_mode, sigma=sigma,
-                        residual_set=cfg.residual_set,
-                        pred_scale=cfg.pred_scale, stop_on_degrade=False)
+        net, _ = _expand(cfg, train, tc, sigma, calibrate=calibrate,
+                         stop_on_degrade=False)
         results[calibrate] = anmse(valid.Y, forward_batch(net, valid.X))
     row["anmse_noncalibrated"] = results[False]
     row["anmse_calibrated"] = results[True]
@@ -275,8 +272,8 @@ def _run_calibration_study(cfg: ExperimentConfig, cell: Cell) -> dict:
                              residual_set=cfg.residual_set)
     if truth is not None:
         agree = total = 0
-        for a in range(data.t):
-            for b in range(a + 1, data.t):
+        for a in range(train.t):
+            for b in range(a + 1, train.t):
                 if truth.sigma[a] == truth.sigma[b]:
                     continue
                 total += 1
@@ -303,8 +300,8 @@ def _cells(cfg: ExperimentConfig) -> list[Cell]:
     else:
         fractions = [None]
     ranks = cfg.ranks if cfg.ranks else [cfg.train.rank]
-    return [Cell(seed=s, fraction=f, rank=r)
-            for s in cfg.seeds for f in fractions for r in ranks]
+    return [Cell(seed=s, fraction=f, rank=r) for s in sorted(cfg.seeds)
+            for f in sorted(fractions) for r in sorted(ranks)]
 
 
 def _run_cell(cfg: ExperimentConfig, cell: Cell) -> dict:
@@ -374,18 +371,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         os.makedirs(os.path.join(cfg.output_dir, "traces"), exist_ok=True)
     if cfg.save_models:
         os.makedirs(os.path.join(cfg.output_dir, "models"), exist_ok=True)
-    cells = _cells(cfg)
-    workers = max(1, int(os.environ.get("SSN_THREADS", "1")))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda c: _run_cell(cfg, c), cells))
-    else:
-        rows = [_run_cell(cfg, cell) for cell in cells]
-    rows = [row for _, row in sorted(
-        zip(cells, rows), key=lambda pair: (pair[0].seed,
-                                            -1.0 if pair[0].fraction is None
-                                            else pair[0].fraction,
-                                            pair[0].rank))]
+    rows = [_run_cell(cfg, cell) for cell in _cells(cfg)]
     _write_results(os.path.join(cfg.output_dir, "results.csv"), rows)
     _atomic_write(os.path.join(cfg.output_dir, "summary.json"),
                   json.dumps(_summarize(rows), indent=2, sort_keys=True) + "\n")

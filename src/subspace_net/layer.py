@@ -12,7 +12,7 @@ single rank-one update.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -325,8 +325,3 @@ def predict_linear_batch(layer: SubspaceLayer, x_mat) -> np.ndarray:
 def predict_batch(layer: SubspaceLayer, x_mat) -> np.ndarray:
     """ReLU predictions for a batch of row vectors (N x D_in)."""
     return np.maximum(predict_linear_batch(layer, x_mat), 0.0)
-
-
-def clone_config(cfg: TrainConfig, **changes) -> TrainConfig:
-    """Copy a config with selected fields replaced."""
-    return replace(cfg, **changes)

@@ -16,7 +16,7 @@ import os
 import struct
 import tempfile
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from .layer import (
     SubspaceLayer,
     TraceLog,
     TrainConfig,
-    clone_config,
     predict_batch,
     predict_linear_batch,
     train_layer,
@@ -256,7 +255,7 @@ def expand(data: Dataset, depth: int, cfg: TrainConfig, calibrate: bool = False,
     sigma_hat = whiten = None
     h_prev = None
     for k in range(depth):
-        cfg_k = clone_config(cfg, seed=_derived_seed(cfg.seed, k))
+        cfg_k = replace(cfg, seed=_derived_seed(cfg.seed, k))
         if k == 0:
             scales = None
             z = inputs
@@ -400,10 +399,18 @@ def load_model(path) -> SubspaceNetwork:
         sigma = rd.matrix(1, t_out)[0]
         u = rd.matrix(t_out, r)
         v = rd.matrix(r, d_in)
-        layers.append(SubspaceLayer(U=u, V=v, sigma=sigma, lam=lam))
+        layers.append((u, v, sigma, lam))
     if rd.pos != len(body):
         raise ModelFormatError(f"{len(body) - rd.pos} unexpected trailing bytes")
-    net = SubspaceNetwork(layers=layers, skip_mode=SKIP_MODES[mode_byte])
+    # a well-formed file can still describe no network: no layers, a
+    # non-finite factor, or layers whose widths do not chain
+    try:
+        net = SubspaceNetwork(
+            layers=[SubspaceLayer(U=u, V=v, sigma=sigma, lam=lam)
+                    for u, v, sigma, lam in layers],
+            skip_mode=SKIP_MODES[mode_byte])
+    except (EmptyInputError, InvalidArgumentError, DimensionError) as exc:
+        raise ModelFormatError(f"invalid model structure: {exc}") from exc
     if net.input_dim != input_dim or net.task_dim != task_dim:
         raise ModelFormatError("header dimensions disagree with layer shapes")
     return net

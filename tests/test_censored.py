@@ -216,10 +216,3 @@ class TestArrayKernels:
             term = CensoredNllTerm(y[i], mu[i], sigma[i])
             assert nll_vec[i] == pytest.approx(censored_nll(term), rel=1e-14)
             assert grad_vec[i] == pytest.approx(grad_mu_censored_nll(term), rel=1e-14)
-
-    def test_censor_threshold(self):
-        # with a positive threshold, small positive targets use the censored branch
-        val_default = censored_nll_array(0.5, -1.0, 1.0)
-        val_thresh = censored_nll_array(0.5, -1.0, 1.0, censor_threshold=0.5)
-        assert val_thresh == pytest.approx(-log_std_normal_cdf(1.0), rel=1e-12)
-        assert val_default != pytest.approx(float(val_thresh), rel=1e-6)

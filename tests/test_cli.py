@@ -48,6 +48,15 @@ class TestValidate:
         assert main(["validate", str(path)]) == 1
         assert "warp_speed" in capsys.readouterr().err
 
+    def test_key_of_another_data_kind_is_checked(self, tmp_path, capsys):
+        # a planted config carrying a malformed sigma_set must fail validation,
+        # not crash the run while the config is built
+        path = write_config(tmp_path, data={"kind": "planted", "sigma_set": 5})
+        assert main(["validate", str(path)]) == 1
+        assert "data.sigma_set" in capsys.readouterr().err
+        assert main(["run", str(path)]) == 1
+        assert "data.sigma_set" in capsys.readouterr().err
+
     def test_out_of_range_fraction(self, tmp_path, capsys):
         path = write_config(tmp_path, fractions=[1.5])
         assert main(["validate", str(path)]) == 1
@@ -70,6 +79,168 @@ class TestValidate:
         path = write_config(tmp_path, seeds="zero")
         with pytest.raises(ConfigError):
             load_config(path)
+
+
+EXPERIMENTS = ("single_layer_recovery", "deep_recovery", "depth_sweep",
+               "calibration_study")
+DATA_KINDS = ("planted", "planted_deep", "planted_hetero", "csv")
+MINIMAL = {"experiment": "depth_sweep", "output_dir": "out", "seeds": [0]}
+
+# (overrides of MINIMAL, keys dropped from it, the exact problems reported)
+PROBLEM_TABLE = [
+    ({}, (), []),
+    ({"schema_version": 1}, (), []),
+    ({"schema_version": 2}, (), ["$.schema_version: unsupported version 2 (expected 1)"]),
+    ({"schema_version": "1"}, (),
+     ["$.schema_version: unsupported version '1' (expected 1)"]),
+    ({}, ("experiment",), [f"$.experiment: must be one of {EXPERIMENTS}"]),
+    ({}, ("output_dir",), ["$.output_dir: required nonempty string"]),
+    ({}, ("seeds",), ["$.seeds: required nonempty list of integers"]),
+    ({}, ("experiment", "output_dir", "seeds"),
+     [f"$.experiment: must be one of {EXPERIMENTS}",
+      "$.output_dir: required nonempty string",
+      "$.seeds: required nonempty list of integers"]),
+    ({"experiment": "nope"}, (), [f"$.experiment: must be one of {EXPERIMENTS}"]),
+    ({"output_dir": ""}, (), ["$.output_dir: required nonempty string"]),
+    ({"output_dir": 7}, (), ["$.output_dir: required nonempty string"]),
+    ({"seeds": []}, (), ["$.seeds: required nonempty list of integers"]),
+    ({"seeds": [1.5]}, (), ["$.seeds: required nonempty list of integers"]),
+    ({"seeds": [True]}, (), ["$.seeds: required nonempty list of integers"]),
+    ({"seeds": 3}, (), ["$.seeds: required nonempty list of integers"]),
+    ({"banana": 1}, (), ["$.banana: unknown key"]),
+    ({"data": 5}, (), ["$.data: must be an object"]),
+    ({"data": None}, (), ["$.data: must be an object"]),
+    ({"train": []}, (), ["$.train: must be an object"]),
+    # numeric rules: type, integrality, bounds
+    ({"depth": 0}, (), ["$.depth: must be >= 1, got 0"]),
+    ({"depth": 1.5}, (), ["$.depth: must be an integer"]),
+    ({"depth": "3"}, (), ["$.depth: must be a number, got str"]),
+    ({"depth": True}, (), ["$.depth: must be a number, got bool"]),
+    ({"depth": None}, (), ["$.depth: must be a number, got NoneType"]),
+    ({"pred_scale": 0}, (), ["$.pred_scale: must be > 0.0, got 0"]),
+    ({"ridge_lambda": -1}, (), ["$.ridge_lambda: must be >= 0.0, got -1"]),
+    ({"ridge_lambda": 0}, (), []),
+    # choice and boolean keys
+    ({"skip_mode": "deep"}, (), ["$.skip_mode: must be 'concat' or 'naive'"]),
+    ({"residual_set": "some"}, (), ["$.residual_set: must be 'all' or 'uncensored'"]),
+    ({"calibrate": 1}, (), ["$.calibrate: must be a boolean"]),
+    ({"include_baselines": "yes"}, (), ["$.include_baselines: must be a boolean"]),
+    ({"save_models": None}, (), ["$.save_models: must be a boolean"]),
+    ({"save_traces": 0}, (), ["$.save_traces: must be a boolean"]),
+    # list keys
+    ({"fractions": None}, (), []),
+    ({"fractions": []}, (), ["$.fractions: must be a nonempty list"]),
+    ({"fractions": 0.5}, (), ["$.fractions: must be a nonempty list"]),
+    ({"fractions": [0.0, 0.5, 1.0, True, "x"]}, (),
+     ["$.fractions[0]: must lie strictly in (0, 1), got 0.0",
+      "$.fractions[2]: must lie strictly in (0, 1), got 1.0",
+      "$.fractions[3]: must lie strictly in (0, 1), got True",
+      "$.fractions[4]: must lie strictly in (0, 1), got x"]),
+    ({"ranks": None}, (), []),
+    ({"ranks": []}, (), ["$.ranks: must be a nonempty list of positive integers"]),
+    ({"ranks": [0]}, (), ["$.ranks: must be a nonempty list of positive integers"]),
+    ({"ranks": [2.0]}, (), ["$.ranks: must be a nonempty list of positive integers"]),
+    ({"ranks": [True]}, (), ["$.ranks: must be a nonempty list of positive integers"]),
+    # data section
+    ({"data": {"banana": 1}}, (), ["data.banana: unknown key"]),
+    ({"data": {"kind": "tsv"}}, (), [f"data.kind: must be one of {DATA_KINDS}"]),
+    ({"data": {"n": 0}}, (), ["data.n: must be >= 1, got 0"]),
+    ({"data": {"d": 2.5}}, (), ["data.d: must be an integer"]),
+    ({"data": {"t": "4"}}, (), ["data.t: must be a number, got str"]),
+    ({"data": {"r": True}}, (), ["data.r: must be a number, got bool"]),
+    ({"data": {"sigma": -0.5}}, (), ["data.sigma: must be >= 0.0, got -0.5"]),
+    ({"data": {"sigma": 0}}, (), []),
+    ({"data": {"n": 0, "d": 0, "t": 0, "r": 0, "sigma": -1}}, (),
+     ["data.n: must be >= 1, got 0", "data.d: must be >= 1, got 0",
+      "data.t: must be >= 1, got 0", "data.r: must be >= 1, got 0",
+      "data.sigma: must be >= 0.0, got -1"]),
+    ({"data": {"kind": "planted_deep", "depth": 0}}, (),
+     ["data.depth: must be >= 1, got 0"]),
+    ({"data": {"kind": "planted_hetero", "sigma_set": [0.5, 3]}}, (), []),
+    ({"data": {"kind": "planted_hetero", "sigma_set": []}}, (),
+     ["data.sigma_set: must be a nonempty list of positive numbers"]),
+    ({"data": {"kind": "planted_hetero", "sigma_set": [0.5, 0]}}, (),
+     ["data.sigma_set: must be a nonempty list of positive numbers"]),
+    ({"data": {"kind": "planted_hetero", "sigma_set": [True]}}, (),
+     ["data.sigma_set: must be a nonempty list of positive numbers"]),
+    ({"data": {"kind": "planted_hetero", "sigma_set": 2.0}}, (),
+     ["data.sigma_set: must be a nonempty list of positive numbers"]),
+    ({"data": {"kind": "csv", "features_path": "x.csv", "targets_path": "y.csv"}}, (), []),
+    ({"data": {"kind": "csv"}}, (),
+     ["data.features_path: required string for csv data",
+      "data.targets_path: required string for csv data"]),
+    ({"data": {"kind": "csv", "features_path": 5, "targets_path": None}}, (),
+     ["data.features_path: required string for csv data",
+      "data.targets_path: required string for csv data"]),
+    # train section
+    ({"train": {"warp_speed": 9}}, (), ["train.warp_speed: unknown key"]),
+    ({"train": {"lam": 0.1}}, (), ["train.lam: unknown key"]),
+    ({"train": {"eta": 0}}, (), ["train.eta: must be > 0.0, got 0"]),
+    ({"train": {"mu": -1e-3}}, (), ["train.mu: must be > 0.0, got -0.001"]),
+    ({"train": {"lambda": -1}}, (), ["train.lambda: must be >= 0.0, got -1"]),
+    ({"train": {"lambda": 0}}, (), []),
+    ({"train": {"rank": 0}}, (), ["train.rank: must be >= 1, got 0"]),
+    ({"train": {"v_inner_steps": 1.0}}, (), ["train.v_inner_steps: must be an integer"]),
+    ({"train": {"init_scale": 0.0}}, (), ["train.init_scale: must be > 0.0, got 0.0"]),
+    ({"train": {"step_offset": "500"}}, (),
+     ["train.step_offset: must be a number, got str"]),
+    ({"train": {"sigma_scale": 0}}, (), ["train.sigma_scale: must be > 0.0, got 0"]),
+    ({"train": {"step_decay": 1}}, (), ["train.step_decay: must be a boolean"]),
+    ({"train": {"scale_steps": "no"}}, (), ["train.scale_steps: must be a boolean"]),
+    ({"train": {"sigma": 2.5}}, (), []),
+    ({"train": {"sigma": "planted"}}, (), []),
+    ({"train": {"sigma": "fitted"}}, (),
+     ["train.sigma: must be a positive number or one of ('scaled', 'planted')"]),
+    ({"train": {"sigma": 0}}, (),
+     ["train.sigma: must be a positive number or one of ('scaled', 'planted')"]),
+    ({"train": {"sigma": True}}, (),
+     ["train.sigma: must be a positive number or one of ('scaled', 'planted')"]),
+    # problems at every level are all reported
+    ({"experiment": "nope", "seeds": [], "banana": 1,
+      "data": {"n": 0, "apple": 2}, "train": {"rank": 0, "cherry": 3},
+      "depth": 0}, (),
+     ["$.banana: unknown key",
+      f"$.experiment: must be one of {EXPERIMENTS}",
+      "$.seeds: required nonempty list of integers",
+      "data.apple: unknown key", "data.n: must be >= 1, got 0",
+      "train.cherry: unknown key", "train.rank: must be >= 1, got 0",
+      "$.depth: must be >= 1, got 0"]),
+]
+
+# keys that apply to one data kind only are checked whatever the kind
+NEW_REJECTIONS = [
+    ({"data": {"kind": "planted", "sigma_set": 5}}, (),
+     ["data.sigma_set: must be a nonempty list of positive numbers"]),
+    ({"data": {"kind": "planted_hetero", "sigma_set": None}}, (),
+     ["data.sigma_set: must be a nonempty list of positive numbers"]),
+    ({"data": {"kind": "planted", "depth": 0}}, (),
+     ["data.depth: must be >= 1, got 0"]),
+    ({"data": {"kind": "csv", "features_path": "x.csv", "targets_path": "y.csv",
+               "n": "many"}}, (),
+     ["data.n: must be a number, got str"]),
+    ({"data": {"kind": "planted", "features_path": 5}}, (),
+     ["data.features_path: required string for csv data"]),
+]
+
+
+def _problems(overrides, dropped):
+    obj = {k: v for k, v in {**MINIMAL, **overrides}.items() if k not in dropped}
+    # the reporting order is not part of the contract; the problems are
+    return sorted(validate_config_dict(obj))
+
+
+@pytest.mark.parametrize("overrides, dropped, expected", PROBLEM_TABLE)
+def test_validation_problems_are_pinned(overrides, dropped, expected):
+    assert _problems(overrides, dropped) == sorted(expected)
+
+
+@pytest.mark.parametrize("overrides, dropped, expected", NEW_REJECTIONS)
+def test_every_present_key_is_checked(overrides, dropped, expected):
+    assert _problems(overrides, dropped) == sorted(expected)
+
+
+def test_non_object_config():
+    assert validate_config_dict([1]) == ["$: config must be a JSON object"]
 
 
 class TestRun:
@@ -193,6 +364,16 @@ class TestPredict:
         model = tmp_path / "out" / "models" / "seed0_all_rank2.ssnw"
         data, _ = gen_single_layer(5, 3, 2, 1, 1.0, seed=6)
         fx = tmp_path / "bad.csv"
+        save_csv(data, fx, tmp_path / "unused.csv")
+        assert main(["predict", "--model", str(model),
+                     "--features", str(fx), "--out", str(tmp_path / "p.csv")]) == 2
+
+    def test_predict_invalid_model_structure_exit_2(self, tmp_path):
+        from test_network import write_invalid_model
+        model = tmp_path / "model.ssnw"
+        write_invalid_model(model, "zero_depth")
+        data, _ = gen_single_layer(5, 4, 3, 1, 1.0, seed=6)
+        fx = tmp_path / "feat.csv"
         save_csv(data, fx, tmp_path / "unused.csv")
         assert main(["predict", "--model", str(model),
                      "--features", str(fx), "--out", str(tmp_path / "p.csv")]) == 2

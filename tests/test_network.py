@@ -6,6 +6,7 @@ import pytest
 from subspace_net.data import Dataset, gen_heteroscedastic, gen_single_layer
 from subspace_net.errors import (
     ChecksumError,
+    DimensionError,
     EmptyInputError,
     InvalidArgumentError,
     ModelFormatError,
@@ -35,6 +36,27 @@ def make_net(rng, depth=2, t=3, d=4, skip_mode="concat"):
     for _ in range(depth - 1):
         layers.append(make_layer(rng, t, d_in))
     return SubspaceNetwork(layers=layers, skip_mode=skip_mode)
+
+
+def write_invalid_model(path, defect):
+    """Write a model file with a valid checksum whose content cannot form a
+    network: no layers, a non-finite basis, or layers of different widths."""
+    import struct
+    import zlib
+    rng = np.random.default_rng(25)
+    if defect == "zero_depth":
+        save_model(make_net(rng, depth=1), path)
+        header = bytearray(path.read_bytes()[4:21])  # version .. depth
+        header[13:17] = struct.pack("<I", 0)
+        path.write_bytes(b"SSNW" + bytes(header)
+                         + struct.pack("<I", zlib.crc32(bytes(header))))
+        return
+    net = make_net(rng, depth=2)
+    if defect == "non_finite_u":
+        net.layers[1].U[0, 0] = np.nan
+    else:
+        net.layers[1] = make_layer(rng, 5, net.layers[1].d_in)
+    save_model(net, path)
 
 
 class TestForward:
@@ -297,6 +319,19 @@ class TestModelFile:
         path.write_bytes(bytes(blob))
         with pytest.raises(ModelVersionError):
             load_model(path)
+
+    @pytest.mark.parametrize("defect, cause", [
+        ("zero_depth", EmptyInputError),
+        ("non_finite_u", InvalidArgumentError),
+        ("widths_disagree", DimensionError),
+    ])
+    def test_invalid_structure_is_a_format_error(self, tmp_path, defect, cause):
+        # every file below carries a valid checksum; only its structure is bad
+        path = tmp_path / "model.ssnw"
+        write_invalid_model(path, defect)
+        with pytest.raises(ModelFormatError) as info:
+            load_model(path)
+        assert isinstance(info.value.__cause__, cause)
 
     def test_empty_network_cannot_exist(self):
         with pytest.raises(EmptyInputError):
