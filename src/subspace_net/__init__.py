@@ -17,8 +17,6 @@ from .censored import (
     grad_mu_censored_nll,
     grad_mu_censored_nll_array,
     log_std_normal_cdf,
-    std_normal_pdf,
-    std_normal_tail,
 )
 from .data import (
     Dataset,
@@ -46,7 +44,6 @@ from .layer import (
 from .metrics import (
     aligned_subspace_difference,
     anmse,
-    iterwise_difference,
     mutual_coherence,
     subspace_difference,
     weight_correlations,

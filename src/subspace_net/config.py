@@ -55,6 +55,7 @@ run one config per value.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 from .errors import ConfigError
@@ -68,7 +69,9 @@ SIGMA_POLICIES = ("scaled", "planted")
 
 
 def _real(val) -> bool:
-    return not isinstance(val, bool) and isinstance(val, (int, float))
+    """A finite JSON number: ``json`` parses ``NaN`` and ``Infinity`` too."""
+    return not isinstance(val, bool) and (
+        isinstance(val, int) or (isinstance(val, float) and math.isfinite(val)))
 
 
 def _integer(val) -> bool:
@@ -77,6 +80,8 @@ def _integer(val) -> bool:
 
 def _number(*, integer=False, minimum=None, exclusive_min=None):
     def check(val):
+        if isinstance(val, float) and not math.isfinite(val):
+            return f"must be finite, got {val}"
         if not _real(val):
             return f"must be a number, got {type(val).__name__}"
         if integer and not isinstance(val, int):

@@ -50,18 +50,19 @@ class TrainConfig:
     step_offset: float = 500.0
 
     def __post_init__(self):
-        if self.eta <= 0 or self.mu <= 0:
-            raise InvalidArgumentError("step sizes eta and mu must be positive")
-        if self.lam < 0:
-            raise InvalidArgumentError("lam must be nonnegative")
-        if self.rank < 1:
+        # comparisons written so that NaN fails them
+        if not (0 < self.eta < math.inf and 0 < self.mu < math.inf):
+            raise InvalidArgumentError("step sizes eta and mu must be positive and finite")
+        if not 0 <= self.lam < math.inf:
+            raise InvalidArgumentError("lam must be nonnegative and finite")
+        if not self.rank >= 1:
             raise InvalidArgumentError("rank must be a positive integer")
-        if self.v_inner_steps < 1:
+        if not self.v_inner_steps >= 1:
             raise InvalidArgumentError("v_inner_steps must be >= 1")
-        if self.init_scale <= 0:
-            raise InvalidArgumentError("init_scale must be positive")
-        if self.step_offset <= 0:
-            raise InvalidArgumentError("step_offset must be positive")
+        if not 0 < self.init_scale < math.inf:
+            raise InvalidArgumentError("init_scale must be positive and finite")
+        if not 0 < self.step_offset < math.inf:
+            raise InvalidArgumentError("step_offset must be positive and finite")
 
 
 @dataclass
@@ -90,8 +91,8 @@ class SubspaceLayer:
             raise InvalidArgumentError("U and V must be finite")
         if np.any(self.sigma <= 0) or not np.isfinite(self.sigma).all():
             raise InvalidArgumentError("sigma entries must be positive and finite")
-        if self.lam < 0:
-            raise InvalidArgumentError("lam must be nonnegative")
+        if not 0 <= self.lam < math.inf:
+            raise InvalidArgumentError("lam must be nonnegative and finite")
 
     @property
     def t_out(self) -> int:
@@ -152,9 +153,18 @@ def instantaneous_cost(x, y, layer: SubspaceLayer) -> float:
     return _cost(x, y, layer.U, layer.V, layer.sigma, layer.lam)
 
 
-def _v_gradient(x, y, u, v, sigma, lam):
+def _sketch_step(x, y, u, v, sigma, lam, eta):
+    """One gradient step of size ``eta`` on the sketch V for sample (x, y)."""
     coeff = grad_mu_censored_nll_array(y, u @ (v @ x), sigma)
-    return np.outer(u.T @ coeff, x) + lam * v
+    return v - eta * (np.outer(u.T @ coeff, x) + lam * v)
+
+
+def _refine_step(x, y, u, v, sigma, lam, mu):
+    """One gradient step of size ``mu`` on every row of the basis U against
+    the sketch V; rows are independent, so this is one rank-one update."""
+    vx = v @ x
+    coeff = grad_mu_censored_nll_array(y, u @ vx, sigma)
+    return u - mu * (lam * u + np.outer(coeff, vx))
 
 
 def sketch_v(x, y, layer: SubspaceLayer, cfg: TrainConfig) -> np.ndarray:
@@ -164,9 +174,9 @@ def sketch_v(x, y, layer: SubspaceLayer, cfg: TrainConfig) -> np.ndarray:
     """
     x = _check_vector(x, layer.d_in, "x")
     y = _check_vector(y, layer.t_out, "y")
-    v = layer.V.copy()
+    v = layer.V
     for step in range(cfg.v_inner_steps):
-        v = v - cfg.eta * _v_gradient(x, y, layer.U, v, layer.sigma, layer.lam)
+        v = _sketch_step(x, y, layer.U, v, layer.sigma, layer.lam, cfg.eta)
         if not np.isfinite(v).all():
             raise StepSizeError(
                 f"sketch update diverged at inner step {step}", iteration=step)
@@ -184,11 +194,8 @@ def refine_u_row(t: int, x, y_t: float, layer: SubspaceLayer,
     if not 0 <= t < layer.t_out:
         raise InvalidArgumentError(f"task index {t} out of range [0, {layer.t_out})")
     x = _check_vector(x, layer.d_in, "x")
-    vx = layer.V @ x
-    u_t = layer.U[t]
-    coeff = float(grad_mu_censored_nll_array(y_t, float(u_t @ vx),
-                                             float(layer.sigma[t])))
-    row = u_t - cfg.mu * (layer.lam * u_t + coeff * vx)
+    row = _refine_step(x, np.array([y_t], dtype=np.float64), layer.U[t:t + 1],
+                       layer.V, layer.sigma[t:t + 1], layer.lam, cfg.mu)[0]
     if not np.isfinite(row).all():
         raise StepSizeError("basis row update diverged", iteration=0)
     return row
@@ -263,8 +270,7 @@ def train_layer(data: Dataset, cfg: TrainConfig, probe: np.ndarray | None = None
             mu_i = cfg.mu * scale
 
             for _ in range(cfg.v_inner_steps):
-                coeff = grad_mu_censored_nll_array(y, u @ (v @ x), sigma_vec)
-                v_new = v - eta_i * (np.outer(u.T @ coeff, x) + cfg.lam * v)
+                v_new = _sketch_step(x, y, u, v, sigma_vec, cfg.lam, eta_i)
                 if not np.isfinite(v_new).all():
                     raise StepSizeError(
                         f"sketch update diverged at sample {i}", iteration=i,
@@ -272,9 +278,7 @@ def train_layer(data: Dataset, cfg: TrainConfig, probe: np.ndarray | None = None
                         trace=_finish(costs, du_norms, sub, sub_raw, i))
                 v = v_new
 
-            vx = v @ x
-            coeff = grad_mu_censored_nll_array(y, u @ vx, sigma_vec)
-            u_new = u - mu_i * (cfg.lam * u + np.outer(coeff, vx))
+            u_new = _refine_step(x, y, u, v, sigma_vec, cfg.lam, mu_i)
             if not np.isfinite(u_new).all():
                 raise StepSizeError(
                     f"basis update diverged at sample {i}", iteration=i,

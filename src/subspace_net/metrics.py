@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateInputError, DimensionError, EmptyInputError
+from .errors import DegenerateInputError, DimensionError
 
 
 def _as_matrix(a, name: str) -> np.ndarray:
@@ -59,23 +59,6 @@ def aligned_subspace_difference(reference: np.ndarray,
         raise DegenerateInputError("reference matrix has zero Frobenius norm")
     mix, *_ = np.linalg.lstsq(candidate, reference, rcond=None)
     return float(np.linalg.norm(reference - candidate @ mix) / ref_norm)
-
-
-def iterwise_difference(iterates, reference: np.ndarray) -> np.ndarray:
-    """Per-step movement ``||U_i - U_{i-1}||_F / ||reference||_F``.
-
-    ``iterates`` is a sequence of at least two equally shaped matrices;
-    returns an array of length ``len(iterates) - 1``.
-    """
-    mats = [_as_matrix(u, f"iterate {k}") for k, u in enumerate(iterates)]
-    if len(mats) < 2:
-        raise EmptyInputError("need at least two iterates")
-    reference = _as_matrix(reference, "reference")
-    ref_norm = np.linalg.norm(reference)
-    if ref_norm == 0.0:
-        raise DegenerateInputError("reference matrix has zero Frobenius norm")
-    return np.array([np.linalg.norm(b - a) / ref_norm
-                     for a, b in zip(mats[:-1], mats[1:])])
 
 
 class CoherenceSummary(NamedTuple):

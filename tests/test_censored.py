@@ -10,6 +10,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from subspace_net.censored import (
     CENSORED_Z_CAP,
@@ -19,8 +21,6 @@ from subspace_net.censored import (
     grad_mu_censored_nll,
     grad_mu_censored_nll_array,
     log_std_normal_cdf,
-    std_normal_pdf,
-    std_normal_tail,
 )
 from subspace_net.errors import InvalidArgumentError, SaturationWarning
 
@@ -31,58 +31,6 @@ def simpson_tail(z, upper=14.0, n=20001):
     ys = np.exp(-0.5 * xs * xs) / math.sqrt(2 * math.pi)
     h = (upper - z) / (n - 1)
     return h / 3 * (ys[0] + ys[-1] + 4 * ys[1:-1:2].sum() + 2 * ys[2:-1:2].sum())
-
-
-class TestStdNormalPdf:
-    def test_at_zero(self):
-        assert std_normal_pdf(0.0) == pytest.approx(1 / math.sqrt(2 * math.pi), rel=1e-12)
-
-    def test_at_one_closed_form(self):
-        expected = math.exp(-0.5) / math.sqrt(2 * math.pi)
-        assert std_normal_pdf(1.0) == pytest.approx(expected, rel=1e-12)
-        assert std_normal_pdf(1.0) == pytest.approx(0.2419707245, rel=1e-9)
-
-    def test_symmetry(self):
-        z = np.linspace(-8, 8, 101)
-        np.testing.assert_allclose(std_normal_pdf(z), std_normal_pdf(-z), rtol=1e-14)
-
-    def test_rejects_non_finite(self):
-        for bad in (math.nan, math.inf, -math.inf):
-            with pytest.raises(InvalidArgumentError):
-                std_normal_pdf(bad)
-
-
-class TestStdNormalTail:
-    def test_median(self):
-        assert std_normal_tail(0.0) == 0.5
-
-    def test_against_quadrature(self):
-        for z in (-3.0, -1.0, 0.5, 1.0, 2.0, 3.0):
-            assert std_normal_tail(z) == pytest.approx(simpson_tail(z), rel=1e-10)
-
-    def test_975_quantile_by_bisection(self):
-        # invert the quadrature oracle to find the z with tail 0.025
-        lo, hi = 1.0, 3.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if simpson_tail(mid) > 0.025:
-                lo = mid
-            else:
-                hi = mid
-        z_star = 0.5 * (lo + hi)
-        assert z_star == pytest.approx(1.959964, abs=1e-5)
-        assert std_normal_tail(z_star) == pytest.approx(0.025, rel=1e-8)
-        assert std_normal_tail(1.959964) == pytest.approx(0.025, rel=1e-5)
-
-    def test_symmetry_identity(self):
-        rng = np.random.default_rng(7)
-        z = rng.uniform(-8, 8, size=2000)
-        total = std_normal_tail(z) + std_normal_tail(-z)
-        np.testing.assert_allclose(total, 1.0, atol=1e-12)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(InvalidArgumentError):
-            std_normal_tail(float("nan"))
 
 
 class TestLogStdNormalCdf:
@@ -96,7 +44,7 @@ class TestLogStdNormalCdf:
             assert log_std_normal_cdf(z) == pytest.approx(expected, rel=1e-9)
 
     def test_asymptotic_branch_continuity(self):
-        # direct erfc evaluation still works slightly below the switch point
+        # agrees with the direct erfc evaluation down to where erfc underflows
         for z in (-32.9, -33.1, -35.0, -37.0):
             direct = math.log(0.5 * math.erfc(-z / math.sqrt(2)))
             assert log_std_normal_cdf(z) == pytest.approx(direct, rel=1e-11)
@@ -202,6 +150,32 @@ class TestGradMu:
             denom = max(abs(grad), abs(fd), 1e-12)
             assert abs(grad - fd) / denom < 1e-5, (y, mu, sigma, grad, fd)
             checked += 1
+
+    def test_deep_tail_matches_mills_series(self):
+        # z = -mu/sigma far below zero: the inverse Mills ratio pdf(z)/Phi(z)
+        # follows -z / (1 - 1/z^2 + 3/z^4 - 15/z^6), whose truncation error
+        # (105/z^8) is negligible here
+        for r in (1e3, 1e4, 1e6, 1e8):
+            z = -r
+            series = -z / (1 - 1 / z**2 + 3 / z**4 - 15 / z**6)
+            got = grad_mu_censored_nll_array(0.0, r, 1.0)
+            assert got == pytest.approx(series, rel=1e-12, abs=0.0), r
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(sigma=st.floats(1e-2, 1e2), ratio=st.floats(-35.0, 35.0),
+           censored=st.booleans(), y_ratio=st.floats(1e-3, 35.0))
+    def test_matches_finite_differences_over_extreme_ratios(
+            self, sigma, ratio, censored, y_ratio):
+        # mu = ratio * sigma; an uncensored target sits at y = y_ratio * sigma,
+        # kept off the residual's zero, where a relative error means nothing
+        mu = ratio * sigma
+        y = 0.0 if censored else y_ratio * sigma
+        assume(censored or abs(y_ratio - ratio) > 0.1)
+        grad = grad_mu_censored_nll(CensoredNllTerm(y, mu, sigma))
+        fd = central_diff(
+            lambda m: censored_nll(CensoredNllTerm(y, m, sigma)), mu, 1e-5 * sigma)
+        denom = max(abs(grad), abs(fd), 1e-300)
+        assert abs(grad - fd) / denom < 1e-5, (y, mu, sigma, grad, fd)
 
 
 class TestArrayKernels:

@@ -1,6 +1,7 @@
 """Tests for config validation and the command-line workflows."""
 
 import json
+import math
 import os
 
 import numpy as np
@@ -220,6 +221,24 @@ NEW_REJECTIONS = [
      ["data.n: must be a number, got str"]),
     ({"data": {"kind": "planted", "features_path": 5}}, (),
      ["data.features_path: required string for csv data"]),
+    # json parses NaN and Infinity; no numeric key accepts them
+    ({"train": {"eta": math.nan, "mu": math.inf}, "ridge_lambda": math.nan,
+      "data": {"sigma": math.inf}}, (),
+     ["train.eta: must be finite, got nan", "train.mu: must be finite, got inf",
+      "$.ridge_lambda: must be finite, got nan",
+      "data.sigma: must be finite, got inf"]),
+    ({"depth": -math.inf, "pred_scale": math.nan}, (),
+     ["$.depth: must be finite, got -inf", "$.pred_scale: must be finite, got nan"]),
+    ({"train": {"lambda": math.nan, "init_scale": math.inf,
+                "step_offset": math.nan, "sigma_scale": math.inf}}, (),
+     ["train.lambda: must be finite, got nan",
+      "train.init_scale: must be finite, got inf",
+      "train.step_offset: must be finite, got nan",
+      "train.sigma_scale: must be finite, got inf"]),
+    ({"train": {"sigma": math.inf}}, (),
+     ["train.sigma: must be a positive number or one of ('scaled', 'planted')"]),
+    ({"data": {"kind": "planted_hetero", "sigma_set": [0.5, math.inf]}}, (),
+     ["data.sigma_set: must be a nonempty list of positive numbers"]),
 ]
 
 

@@ -1,6 +1,8 @@
 """Tests for single-layer training: costs, gradient steps, and the one-pass
 contract, checked against finite-difference and scalar-loop oracles."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -252,7 +254,7 @@ class TestTrainLayer:
         assert np.isfinite(u_last).all() and np.isfinite(v_last).all()
 
     def test_empty_dataset_rejected(self):
-        with pytest.raises((EmptyInputError, Exception)):
+        with pytest.raises(EmptyInputError):
             train_layer(Dataset(X=np.ones((0, 3)), Y=np.ones((0, 2))),
                         TrainConfig(rank=1, seed=0))
 
@@ -320,3 +322,18 @@ class TestTrainConfigValidation:
             TrainConfig(v_inner_steps=0)
         with pytest.raises(InvalidArgumentError):
             TrainConfig(lam=-0.1)
+
+    @pytest.mark.parametrize("field", ["eta", "mu", "lam", "init_scale",
+                                       "step_offset"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(InvalidArgumentError):
+            TrainConfig(**{field: value})
+
+
+class TestSubspaceLayerValidation:
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -0.5])
+    def test_lam_must_be_finite_and_nonnegative(self, lam):
+        with pytest.raises(InvalidArgumentError):
+            SubspaceLayer(U=np.ones((2, 1)), V=np.ones((1, 3)),
+                          sigma=np.ones(2), lam=lam)

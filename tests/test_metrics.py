@@ -5,15 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from subspace_net.errors import (
-    DegenerateInputError,
-    DimensionError,
-    EmptyInputError,
-)
+from subspace_net.errors import DegenerateInputError, DimensionError
 from subspace_net.metrics import (
     aligned_subspace_difference,
     anmse,
-    iterwise_difference,
     mutual_coherence,
     subspace_difference,
     weight_correlations,
@@ -83,25 +78,6 @@ class TestAlignedSubspaceDifference:
             expected = np.linalg.norm(resid) / np.linalg.norm(ref)
             assert aligned_subspace_difference(ref, cand) == pytest.approx(
                 expected, rel=1e-9)
-
-
-class TestIterwiseDifference:
-    def test_constant_trace(self):
-        u = np.ones((3, 2))
-        out = iterwise_difference([u, u, u], u)
-        np.testing.assert_allclose(out, 0.0)
-
-    def test_two_iterates_collapse_to_definition(self):
-        rng = np.random.default_rng(5)
-        a, b, ref = (rng.standard_normal((4, 3)) for _ in range(3))
-        out = iterwise_difference([a, b], ref)
-        assert out.shape == (1,)
-        expected = np.linalg.norm(b - a) / np.linalg.norm(ref)
-        assert out[0] == pytest.approx(expected, rel=1e-12)
-
-    def test_short_trace_rejected(self):
-        with pytest.raises(EmptyInputError):
-            iterwise_difference([np.ones((2, 2))], np.ones((2, 2)))
 
 
 class TestMutualCoherence:

@@ -40,7 +40,8 @@ def make_net(rng, depth=2, t=3, d=4, skip_mode="concat"):
 
 def write_invalid_model(path, defect):
     """Write a model file with a valid checksum whose content cannot form a
-    network: no layers, a non-finite basis, or layers of different widths."""
+    network: no layers, a non-finite basis, a non-finite regularization
+    weight, or layers of different widths."""
     import struct
     import zlib
     rng = np.random.default_rng(25)
@@ -54,6 +55,8 @@ def write_invalid_model(path, defect):
     net = make_net(rng, depth=2)
     if defect == "non_finite_u":
         net.layers[1].U[0, 0] = np.nan
+    elif defect == "nan_lam":
+        net.layers[1].lam = np.nan
     else:
         net.layers[1] = make_layer(rng, 5, net.layers[1].d_in)
     save_model(net, path)
@@ -323,6 +326,7 @@ class TestModelFile:
     @pytest.mark.parametrize("defect, cause", [
         ("zero_depth", EmptyInputError),
         ("non_finite_u", InvalidArgumentError),
+        ("nan_lam", InvalidArgumentError),
         ("widths_disagree", DimensionError),
     ])
     def test_invalid_structure_is_a_format_error(self, tmp_path, defect, cause):
