@@ -73,8 +73,9 @@ class CensoredNllTerm:
 def _censored_z(mu, sigma):
     """Censored-branch argument ``z = -mu/sigma``, clamped with a warning."""
     z = -mu / sigma
-    clipped = np.abs(z) > CENSORED_Z_CAP
-    if np.any(clipped):
+    # one reduction instead of a mask; fmax skips NaN, so a NaN entry cannot
+    # hide another entry beyond the cap
+    if np.fmax.reduce(np.abs(z), axis=None) > CENSORED_Z_CAP:
         warnings.warn(
             "censored-branch argument |mu/sigma| exceeded "
             f"{CENSORED_Z_CAP:g}; saturating", SaturationWarning, stacklevel=3)
@@ -94,7 +95,7 @@ def censored_nll_array(y, mu, sigma):
     censored = y <= 0.0
     resid = (y - mu) / sigma
     out = 0.5 * resid * resid + np.log(sigma) + LOG_SQRT_2PI
-    if np.any(censored):
+    if censored.any():
         z = _censored_z(np.where(censored, mu, 0.0), sigma)
         out = np.where(censored, -log_ndtr(z), out)
     return out
@@ -112,7 +113,7 @@ def grad_mu_censored_nll_array(y, mu, sigma):
     sigma = np.asarray(sigma, dtype=np.float64)
     censored = y <= 0.0
     out = -(y - mu) / (sigma * sigma)
-    if np.any(censored):
+    if censored.any():
         z = _censored_z(np.where(censored, mu, 0.0), sigma)
         hazard = _SQRT_2_OVER_PI / (sigma * erfcx(-z / math.sqrt(2.0)))
         out = np.where(censored, hazard, out)

@@ -4,9 +4,11 @@ A layer holds a task-subspace basis ``U`` (T x R) and a parameter sketch
 ``V`` (R x D); the prediction for input x is ``ReLU(U V x)``. Training
 streams the data once: for each sample, ``V`` takes one or more gradient
 steps in the current basis (sketching), then every row of ``U`` takes one
-gradient step against the fresh sketch (refinement). Row refinements are
-independent across tasks and read the same sketch, so they vectorize into a
-single rank-one update.
+gradient step against the fresh sketch (refinement). Each sketch step
+shrinks ``V`` and adds a rank-one term along x, so between steps only the
+length-R vector ``V x`` changes: the inner steps run on it, and ``V`` itself
+is updated once per sample. Row refinements are independent across tasks
+and read the same sketch, so they vectorize into a single rank-one update.
 """
 
 from __future__ import annotations
@@ -144,19 +146,40 @@ def _cost(x, y, u, v, sigma, lam) -> float:
     return nll + 0.5 * lam * (float(np.sum(u * u)) + float(np.sum(v * v)))
 
 
+def _check_target(y, length, name):
+    y = _check_vector(y, length, name)
+    # written so that NaN fails it
+    if not ((y >= 0) & (y < math.inf)).all():
+        raise InvalidArgumentError(f"{name} must be nonnegative and finite")
+    return y
+
+
 def instantaneous_cost(x, y, layer: SubspaceLayer) -> float:
     """Negative log-likelihood of one sample plus both Frobenius penalties."""
     x = _check_vector(x, layer.d_in, "x")
-    y = _check_vector(y, layer.t_out, "y")
-    if np.any(y < 0):
-        raise InvalidArgumentError("y must be nonnegative")
+    y = _check_target(y, layer.t_out, "y")
     return _cost(x, y, layer.U, layer.V, layer.sigma, layer.lam)
 
 
-def _sketch_step(x, y, u, v, sigma, lam, eta):
-    """One gradient step of size ``eta`` on the sketch V for sample (x, y)."""
-    coeff = grad_mu_censored_nll_array(y, u @ (v @ x), sigma)
-    return v - eta * (np.outer(u.T @ coeff, x) + lam * v)
+def _sketch_step(x, y, u, v, sigma, lam, eta, steps):
+    """``steps`` gradient steps of size ``eta`` on the sketch V for sample
+    (x, y), warm-started from ``v``.
+
+    A step maps V to ``(1 - eta*lam) V - g x^T`` with the length-R vector
+    ``g = eta U^T grad``, where ``grad`` depends on V only through ``V x``.
+    So the loop carries ``V x`` and the accumulated ``g`` terms, and V is
+    formed once: ``shrink**steps * V - acc x^T``. Each step still makes one
+    gradient-kernel call.
+    """
+    shrink = 1.0 - eta * lam
+    xx = x @ x
+    vx = v @ x
+    acc = np.zeros(v.shape[0])
+    for _ in range(steps):
+        g = eta * (u.T @ grad_mu_censored_nll_array(y, u @ vx, sigma))
+        vx = shrink * vx - xx * g
+        acc = shrink * acc + g
+    return shrink ** steps * v - np.outer(acc, x)
 
 
 def _refine_step(x, y, u, v, sigma, lam, mu):
@@ -173,13 +196,11 @@ def sketch_v(x, y, layer: SubspaceLayer, cfg: TrainConfig) -> np.ndarray:
     layer's current sketch. Returns the updated V; the layer is not mutated.
     """
     x = _check_vector(x, layer.d_in, "x")
-    y = _check_vector(y, layer.t_out, "y")
-    v = layer.V
-    for step in range(cfg.v_inner_steps):
-        v = _sketch_step(x, y, layer.U, v, layer.sigma, layer.lam, cfg.eta)
-        if not np.isfinite(v).all():
-            raise StepSizeError(
-                f"sketch update diverged at inner step {step}", iteration=step)
+    y = _check_target(y, layer.t_out, "y")
+    v = _sketch_step(x, y, layer.U, layer.V, layer.sigma, layer.lam, cfg.eta,
+                     cfg.v_inner_steps)
+    if not np.isfinite(v).all():
+        raise StepSizeError("sketch update diverged", iteration=0)
     return v
 
 
@@ -194,8 +215,9 @@ def refine_u_row(t: int, x, y_t: float, layer: SubspaceLayer,
     if not 0 <= t < layer.t_out:
         raise InvalidArgumentError(f"task index {t} out of range [0, {layer.t_out})")
     x = _check_vector(x, layer.d_in, "x")
-    row = _refine_step(x, np.array([y_t], dtype=np.float64), layer.U[t:t + 1],
-                       layer.V, layer.sigma[t:t + 1], layer.lam, cfg.mu)[0]
+    y = _check_target([y_t], 1, "y_t")
+    row = _refine_step(x, y, layer.U[t:t + 1], layer.V, layer.sigma[t:t + 1],
+                       layer.lam, cfg.mu)[0]
     if not np.isfinite(row).all():
         raise StepSizeError("basis row update diverged", iteration=0)
     return row
@@ -269,14 +291,14 @@ def train_layer(data: Dataset, cfg: TrainConfig, probe: np.ndarray | None = None
             eta_i = cfg.eta * scale
             mu_i = cfg.mu * scale
 
-            for _ in range(cfg.v_inner_steps):
-                v_new = _sketch_step(x, y, u, v, sigma_vec, cfg.lam, eta_i)
-                if not np.isfinite(v_new).all():
-                    raise StepSizeError(
-                        f"sketch update diverged at sample {i}", iteration=i,
-                        last_state=(u, v),
-                        trace=_finish(costs, du_norms, sub, sub_raw, i))
-                v = v_new
+            v_new = _sketch_step(x, y, u, v, sigma_vec, cfg.lam, eta_i,
+                                 cfg.v_inner_steps)
+            if not np.isfinite(v_new).all():
+                raise StepSizeError(
+                    f"sketch update diverged at sample {i}", iteration=i,
+                    last_state=(u, v),
+                    trace=_finish(costs, du_norms, sub, sub_raw, i))
+            v = v_new
 
             u_new = _refine_step(x, y, u, v, sigma_vec, cfg.lam, mu_i)
             if not np.isfinite(u_new).all():

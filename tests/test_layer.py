@@ -2,11 +2,13 @@
 contract, checked against finite-difference and scalar-loop oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from subspace_net.censored import CensoredNllTerm, censored_nll
+from subspace_net import layer as layer_module
+from subspace_net.censored import CensoredNllTerm, censored_nll, grad_mu_censored_nll
 from subspace_net.data import Dataset, gen_single_layer
 from subspace_net.errors import (
     DimensionError,
@@ -126,6 +128,40 @@ class TestSketchV:
             after = SubspaceLayer(U=layer.U, V=v_new, sigma=layer.sigma, lam=layer.lam)
             assert instantaneous_cost(x, y, after) <= instantaneous_cost(x, y, layer) + 1e-12
 
+    @pytest.mark.parametrize("steps", [1, 2, 8, 32])
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    def test_matches_full_matrix_step_loop(self, steps, lam):
+        # oracle: every inner step applied to the whole of V, as written in
+        # the paper, against the R-space loop sketch_v runs
+        rng = np.random.default_rng(100 + steps)
+        for trial in range(10):
+            layer = random_layer(rng, t=5, d=7, r=3, lam=lam,
+                                 sigma=rng.uniform(0.5, 2.0, 5))
+            x = rng.standard_normal(7)
+            y = np.where(rng.random(5) < 0.5, 0.0, rng.uniform(0.1, 3.0, 5))
+            y[:2] = 0.0, 1.5  # both branches in every trial
+            cfg = TrainConfig(eta=2e-2, mu=1e-3, lam=lam, rank=3,
+                              v_inner_steps=steps, seed=0)
+            v = layer.V.copy()
+            for _ in range(steps):
+                mu_vec = layer.U @ (v @ x)
+                grad = np.array([
+                    grad_mu_censored_nll(CensoredNllTerm(
+                        float(y[t]), float(mu_vec[t]), float(layer.sigma[t])))
+                    for t in range(5)])
+                v = v - cfg.eta * (np.outer(layer.U.T @ grad, x) + lam * v)
+            np.testing.assert_allclose(sketch_v(x, y, layer, cfg), v,
+                                       rtol=1e-12, atol=1e-14)
+
+    def test_huge_step_raises_step_size_error(self):
+        rng = np.random.default_rng(17)
+        layer = random_layer(rng, t=3, d=4, r=2)
+        cfg = TrainConfig(eta=1e100, mu=1e-3, rank=2, v_inner_steps=4, seed=0)
+        with pytest.raises(StepSizeError) as excinfo, warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # overflow precedes the check
+            sketch_v(rng.standard_normal(4), np.array([1.0, 0.0, 2.0]), layer, cfg)
+        assert excinfo.value.iteration == 0
+
     def test_warm_start_not_mutating(self):
         rng = np.random.default_rng(5)
         layer = random_layer(rng)
@@ -189,6 +225,27 @@ class TestRefineURow:
             refine_u_row(5, np.ones(4), 1.0, layer, cfg)
 
 
+@pytest.mark.parametrize("bad", [-5.0, math.nan, math.inf])
+class TestTargetValidation:
+    """The public ops reject a target that is negative or not finite."""
+
+    def test_instantaneous_cost(self, bad):
+        layer = random_layer(np.random.default_rng(18), t=2)
+        with pytest.raises(InvalidArgumentError):
+            instantaneous_cost(np.ones(4), np.array([1.0, bad]), layer)
+
+    def test_sketch_v(self, bad):
+        layer = random_layer(np.random.default_rng(19), t=2)
+        with pytest.raises(InvalidArgumentError):
+            sketch_v(np.ones(4), np.array([1.0, bad]), layer,
+                     TrainConfig(rank=2, seed=0))
+
+    def test_refine_u_row(self, bad):
+        layer = random_layer(np.random.default_rng(20), t=2)
+        with pytest.raises(InvalidArgumentError):
+            refine_u_row(0, np.ones(4), bad, layer, TrainConfig(rank=2, seed=0))
+
+
 class TestTrainLayer:
     def test_single_sample_stream(self):
         data = Dataset(X=np.ones((1, 4)), Y=np.abs(np.ones((1, 2))))
@@ -250,8 +307,34 @@ class TestTrainLayer:
             _warnings.simplefilter("ignore")  # saturation precedes the blow-up
             train_layer(data, big)
         assert excinfo.value.iteration is not None
+        assert excinfo.value.trace.samples_seen == excinfo.value.iteration
         u_last, v_last = excinfo.value.last_state
         assert np.isfinite(u_last).all() and np.isfinite(v_last).all()
+
+    def test_kernel_call_contract(self, monkeypatch):
+        # one NLL call per sample (its cost) and one gradient call per inner
+        # sketch step plus one for the refinement; the kernels are looked up
+        # in the layer module at call time
+        calls = {"nll": 0, "grad": 0}
+
+        def counting(name, kernel):
+            def wrapped(*args):
+                calls[name] += 1
+                return kernel(*args)
+            return wrapped
+
+        monkeypatch.setattr(layer_module, "censored_nll_array",
+                            counting("nll", layer_module.censored_nll_array))
+        monkeypatch.setattr(layer_module, "grad_mu_censored_nll_array",
+                            counting("grad", layer_module.grad_mu_censored_nll_array))
+        data, _ = gen_single_layer(9, 5, 3, 2, 1.0, seed=21)
+        cfg = TrainConfig(rank=2, v_inner_steps=4, seed=22)
+        layer, _ = train_layer(data, cfg)
+        assert calls == {"nll": 9, "grad": 9 * (4 + 1)}
+
+        calls.update(nll=0, grad=0)
+        sketch_v(data.X[0], data.Y[0], layer, cfg)
+        assert calls == {"nll": 0, "grad": 4}
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(EmptyInputError):
