@@ -15,7 +15,7 @@ objective coherently.
 Both branches use stock SciPy routines. The NLL's censored branch is
 ``-log_ndtr(z)`` with ``z = -mu/sigma``, accurate over the whole real line.
 Its derivative is the inverse Mills ratio ``pdf(z) / (sigma Phi(z))``,
-evaluated as ``sqrt(2/pi) / (sigma erfcx(-z/sqrt 2))``: the scaled
+evaluated as ``sqrt(2/pi) / (sigma erfcx((mu/sigma)/sqrt 2))``: the scaled
 complementary error function keeps it accurate to rounding in the deep
 tail, where a ratio of the density and the CDF would cancel. The argument
 is still capped at ``|z| <= CENSORED_Z_CAP``, with a `SaturationWarning`,
@@ -25,6 +25,14 @@ Scalar operations (`censored_nll`, `grad_mu_censored_nll`) validate their
 inputs and are the reference surface; the ``*_array`` variants are the
 vectorized fast path used by training loops and assume validated inputs.
 Both share one implementation.
+
+What a sample's targets and noise scales fix is computed once per sample as
+a `CensoredSample`: the indices of the censored entries, their ``sigma``,
+``sigma*sigma`` and ``log(sigma)``. Training hands it to each of the
+sample's kernel calls (``sample=``), so a call evaluates the uncensored
+formula on all entries, then ``log_ndtr``/``erfcx`` and the cap test on the
+censored entries only, written in place. A call without it builds the same
+object from its arguments and runs the same code.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ from .errors import InvalidArgumentError, SaturationWarning
 
 LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+_SQRT_2 = math.sqrt(2.0)
 
 # Guard cap for the censored-branch argument z = -mu/sigma. Far beyond any
 # statistically meaningful value; it only exists so that absurd inputs
@@ -70,54 +79,80 @@ class CensoredNllTerm:
             raise InvalidArgumentError(f"y must be nonnegative, got {self.y}")
 
 
-def _censored_z(mu, sigma):
-    """Censored-branch argument ``z = -mu/sigma``, clamped with a warning."""
-    z = -mu / sigma
-    # one reduction instead of a mask; fmax skips NaN, so a NaN entry cannot
-    # hide another entry beyond the cap
-    if np.fmax.reduce(np.abs(z), axis=None) > CENSORED_Z_CAP:
+class CensoredSample:
+    """What the 1-D float64 targets ``y`` and noise scales ``sigma`` of one
+    sample fix for every kernel call on it (see the module docstring)."""
+
+    __slots__ = ("y", "sigma", "sigma_sq", "log_sigma", "censored",
+                 "sigma_censored")
+
+    def __init__(self, y, sigma):
+        self.y = y
+        self.sigma = sigma
+        self.sigma_sq = sigma * sigma
+        self.log_sigma = np.log(sigma)
+        self.censored = np.flatnonzero(y <= 0.0)
+        self.sigma_censored = sigma[self.censored]
+
+
+def _flat_sample(y, mu, sigma):
+    """The broadcast shape of the kernel arguments, the flat ``mu`` and the
+    `CensoredSample` of the flat ``y`` and ``sigma``."""
+    y, mu, sigma = np.broadcast_arrays(np.asarray(y, dtype=np.float64),
+                                       np.asarray(mu, dtype=np.float64),
+                                       np.asarray(sigma, dtype=np.float64))
+    return y.shape, mu.ravel(), CensoredSample(y.ravel(), sigma.ravel())
+
+
+def _censored_ratio(mu, sigma):
+    """``mu/sigma`` of the censored entries, i.e. ``-z`` for the
+    censored-branch argument z, clamped to the cap with a warning."""
+    ratio = mu / sigma
+    # a NaN entry compares false, so it cannot hide another entry beyond the cap
+    if np.count_nonzero(np.abs(ratio) > CENSORED_Z_CAP):
         warnings.warn(
             "censored-branch argument |mu/sigma| exceeded "
             f"{CENSORED_Z_CAP:g}; saturating", SaturationWarning, stacklevel=3)
-        z = np.clip(z, -CENSORED_Z_CAP, CENSORED_Z_CAP)
-    return z
+        ratio = np.clip(ratio, -CENSORED_Z_CAP, CENSORED_Z_CAP)
+    return ratio
 
 
-def censored_nll_array(y, mu, sigma):
+def censored_nll_array(y, mu, sigma, *, sample=None):
     """Elementwise censored negative log-likelihood (vectorized fast path).
 
     Entries with ``y <= 0`` use the censored branch. Inputs are assumed
-    validated (sigma > 0, y >= 0); shapes must broadcast.
+    validated (sigma > 0, y >= 0); shapes must broadcast. ``sample``, if
+    given, is ``CensoredSample(y, sigma)`` for 1-D ``y``, ``sigma`` and
+    ``mu`` of one length, built once for repeated calls on one sample.
     """
-    y = np.asarray(y, dtype=np.float64)
-    mu = np.asarray(mu, dtype=np.float64)
-    sigma = np.asarray(sigma, dtype=np.float64)
-    censored = y <= 0.0
-    resid = (y - mu) / sigma
-    out = 0.5 * resid * resid + np.log(sigma) + LOG_SQRT_2PI
-    if censored.any():
-        z = _censored_z(np.where(censored, mu, 0.0), sigma)
-        out = np.where(censored, -log_ndtr(z), out)
-    return out
+    shape = None
+    if sample is None:
+        shape, mu, sample = _flat_sample(y, mu, sigma)
+    resid = (sample.y - mu) / sample.sigma
+    out = 0.5 * resid * resid + sample.log_sigma + LOG_SQRT_2PI
+    idx = sample.censored
+    if idx.size:
+        out[idx] = -log_ndtr(-_censored_ratio(mu[idx], sample.sigma_censored))
+    return out if shape is None else out.reshape(shape)
 
 
-def grad_mu_censored_nll_array(y, mu, sigma):
+def grad_mu_censored_nll_array(y, mu, sigma, *, sample=None):
     """Elementwise d(censored_nll)/d(mu) (vectorized fast path).
 
     Uncensored entries contribute ``-(y - mu)/sigma^2``; censored entries the
     inverse Mills ratio ``pdf(z) / (sigma * Phi(z))`` with ``z = -mu/sigma``,
-    evaluated through ``erfcx`` so the ratio survives deep tails.
+    evaluated through ``erfcx`` so the ratio survives deep tails. ``sample``
+    is as in `censored_nll_array`.
     """
-    y = np.asarray(y, dtype=np.float64)
-    mu = np.asarray(mu, dtype=np.float64)
-    sigma = np.asarray(sigma, dtype=np.float64)
-    censored = y <= 0.0
-    out = -(y - mu) / (sigma * sigma)
-    if censored.any():
-        z = _censored_z(np.where(censored, mu, 0.0), sigma)
-        hazard = _SQRT_2_OVER_PI / (sigma * erfcx(-z / math.sqrt(2.0)))
-        out = np.where(censored, hazard, out)
-    return out
+    shape = None
+    if sample is None:
+        shape, mu, sample = _flat_sample(y, mu, sigma)
+    out = -(sample.y - mu) / sample.sigma_sq
+    idx = sample.censored
+    if idx.size:
+        ratio = _censored_ratio(mu[idx], sample.sigma_censored)
+        out[idx] = _SQRT_2_OVER_PI / (sample.sigma_censored * erfcx(ratio / _SQRT_2))
+    return out if shape is None else out.reshape(shape)
 
 
 def censored_nll(term: CensoredNllTerm) -> float:

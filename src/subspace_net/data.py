@@ -173,45 +173,59 @@ def split(data: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dat
     return train, valid
 
 
+def _csv_records(path):
+    """The records of a UTF-8 CSV file, each a list of strings, read one at
+    a time."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            yield from reader
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+        except csv.Error as exc:
+            raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc
+
+
 def parse_numeric_csv(path, *, nonnegative: bool = False):
     """Read one strict CSV: header row, every cell a finite decimal number.
 
     Returns ``(header, matrix)``; any malformed cell rejects the whole file
-    with its location.
+    with its location, and a file that is not UTF-8 text, or whose header
+    row is empty, is rejected too.
     """
     problems = []
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: file is empty (header row required)") from None
-        width = len(header)
-        for line_no, raw in enumerate(reader, start=2):
-            if len(raw) != width:
-                problems.append(f"{path}:{line_no}: expected {width} cells, got {len(raw)}")
-                continue
-            row = np.empty(width)
-            for col, tok in enumerate(raw, start=1):
-                tok = tok.strip()
-                if tok == "":
-                    problems.append(f"{path}:{line_no}:{col}: missing cell")
-                    break
-                try:
-                    val = float(tok)
-                except ValueError:
-                    problems.append(f"{path}:{line_no}:{col}: non-numeric cell {tok!r}")
-                    break
-                if not math.isfinite(val):
-                    problems.append(f"{path}:{line_no}:{col}: non-finite cell {tok!r}")
-                    break
-                if nonnegative and val < 0:
-                    problems.append(f"{path}:{line_no}:{col}: negative target {tok!r}")
-                    break
-                row[col - 1] = val
-            else:
-                rows.append(row)
+    records = _csv_records(path)
+    header = next(records, None)
+    if header is None:
+        raise ParseError(f"{path}: file is empty (header row required)")
+    width = len(header)
+    if width == 0:
+        raise ParseError(f"{path}:1: header row has no columns")
+    for line_no, raw in enumerate(records, start=2):
+        if len(raw) != width:
+            problems.append(f"{path}:{line_no}: expected {width} cells, got {len(raw)}")
+            continue
+        row = np.empty(width)
+        for col, tok in enumerate(raw, start=1):
+            tok = tok.strip()
+            if tok == "":
+                problems.append(f"{path}:{line_no}:{col}: missing cell")
+                break
+            try:
+                val = float(tok)
+            except ValueError:
+                problems.append(f"{path}:{line_no}:{col}: non-numeric cell {tok!r}")
+                break
+            if not math.isfinite(val):
+                problems.append(f"{path}:{line_no}:{col}: non-finite cell {tok!r}")
+                break
+            if nonnegative and val < 0:
+                problems.append(f"{path}:{line_no}:{col}: negative target {tok!r}")
+                break
+            row[col - 1] = val
+        else:
+            rows.append(row)
     if problems:
         raise ParseError("rejected rows:\n" + "\n".join(problems))
     if not rows:

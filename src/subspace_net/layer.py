@@ -9,6 +9,13 @@ shrinks ``V`` and adds a rank-one term along x, so between steps only the
 length-R vector ``V x`` changes: the inner steps run on it, and ``V`` itself
 is updated once per sample. Row refinements are independent across tasks
 and read the same sketch, so they vectorize into a single rank-one update.
+
+Work a sample fixes is done once for it: one `CensoredSample` (censored
+entries and noise-scale terms) serves all of its kernel calls, and the
+products ``V x`` and ``U V x`` formed for its cost start the sketch loop,
+whose final pair the refinement reads. Each sample makes one NLL call and
+``v_inner_steps + 1`` gradient calls; the kernels are looked up as module
+globals at call time.
 """
 
 from __future__ import annotations
@@ -18,7 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .censored import censored_nll_array, grad_mu_censored_nll_array
+from .censored import (
+    CensoredSample,
+    censored_nll_array,
+    grad_mu_censored_nll_array,
+)
 from .data import Dataset
 from .errors import (
     DimensionError,
@@ -86,6 +97,10 @@ class SubspaceLayer:
         if self.U.shape[1] != self.V.shape[0]:
             raise DimensionError(
                 f"rank mismatch: U is {self.U.shape}, V is {self.V.shape}")
+        if 0 in self.U.shape or self.V.shape[1] == 0:
+            raise DimensionError(
+                "a layer needs at least one task, rank and input, got "
+                f"U {self.U.shape}, V {self.V.shape}")
         if self.sigma.shape != (self.U.shape[0],):
             raise DimensionError(
                 f"sigma must have one entry per task, got shape {self.sigma.shape}")
@@ -140,9 +155,10 @@ def _check_vector(v, length, name):
     return v
 
 
-def _cost(x, y, u, v, sigma, lam) -> float:
-    mu_vec = u @ (v @ x)
-    nll = float(np.sum(censored_nll_array(y, mu_vec, sigma)))
+def _cost(lin, sample, u, v, lam) -> float:
+    """Cost of one sample whose linear predictor ``U V x`` is ``lin``."""
+    nll = float(np.sum(censored_nll_array(sample.y, lin, sample.sigma,
+                                          sample=sample)))
     return nll + 0.5 * lam * (float(np.sum(u * u)) + float(np.sum(v * v)))
 
 
@@ -158,35 +174,41 @@ def instantaneous_cost(x, y, layer: SubspaceLayer) -> float:
     """Negative log-likelihood of one sample plus both Frobenius penalties."""
     x = _check_vector(x, layer.d_in, "x")
     y = _check_target(y, layer.t_out, "y")
-    return _cost(x, y, layer.U, layer.V, layer.sigma, layer.lam)
+    lin = layer.U @ (layer.V @ x)
+    return _cost(lin, CensoredSample(y, layer.sigma), layer.U, layer.V, layer.lam)
 
 
-def _sketch_step(x, y, u, v, sigma, lam, eta, steps):
+def _sketch_step(x, vx, lin, sample, u, v, lam, eta, steps):
     """``steps`` gradient steps of size ``eta`` on the sketch V for sample
-    (x, y), warm-started from ``v``.
+    ``x``, warm-started from ``v``, where ``vx = V x`` and ``lin = U vx``.
 
     A step maps V to ``(1 - eta*lam) V - g x^T`` with the length-R vector
     ``g = eta U^T grad``, where ``grad`` depends on V only through ``V x``.
     So the loop carries ``V x`` and the accumulated ``g`` terms, and V is
     formed once: ``shrink**steps * V - acc x^T``. Each step still makes one
-    gradient-kernel call.
+    gradient-kernel call. Returns the new V with its ``V x`` and ``U V x``,
+    which the refinement reads; ``vx`` is updated in place.
     """
     shrink = 1.0 - eta * lam
     xx = x @ x
-    vx = v @ x
+    eta_ut = eta * u.T
     acc = np.zeros(v.shape[0])
     for _ in range(steps):
-        g = eta * (u.T @ grad_mu_censored_nll_array(y, u @ vx, sigma))
-        vx = shrink * vx - xx * g
-        acc = shrink * acc + g
-    return shrink ** steps * v - np.outer(acc, x)
+        g = eta_ut @ grad_mu_censored_nll_array(sample.y, lin, sample.sigma,
+                                                sample=sample)
+        vx *= shrink
+        vx -= xx * g
+        acc *= shrink
+        acc += g
+        lin = u @ vx
+    return shrink ** steps * v - np.outer(acc, x), vx, lin
 
 
-def _refine_step(x, y, u, v, sigma, lam, mu):
+def _refine_step(vx, lin, sample, u, lam, mu):
     """One gradient step of size ``mu`` on every row of the basis U against
-    the sketch V; rows are independent, so this is one rank-one update."""
-    vx = v @ x
-    coeff = grad_mu_censored_nll_array(y, u @ vx, sigma)
+    the sketch V, where ``vx = V x`` and ``lin = U vx``; rows are
+    independent, so this is one rank-one update."""
+    coeff = grad_mu_censored_nll_array(sample.y, lin, sample.sigma, sample=sample)
     return u - mu * (lam * u + np.outer(coeff, vx))
 
 
@@ -197,8 +219,9 @@ def sketch_v(x, y, layer: SubspaceLayer, cfg: TrainConfig) -> np.ndarray:
     """
     x = _check_vector(x, layer.d_in, "x")
     y = _check_target(y, layer.t_out, "y")
-    v = _sketch_step(x, y, layer.U, layer.V, layer.sigma, layer.lam, cfg.eta,
-                     cfg.v_inner_steps)
+    vx = layer.V @ x
+    v, _, _ = _sketch_step(x, vx, layer.U @ vx, CensoredSample(y, layer.sigma),
+                           layer.U, layer.V, layer.lam, cfg.eta, cfg.v_inner_steps)
     if not np.isfinite(v).all():
         raise StepSizeError("sketch update diverged", iteration=0)
     return v
@@ -216,7 +239,9 @@ def refine_u_row(t: int, x, y_t: float, layer: SubspaceLayer,
         raise InvalidArgumentError(f"task index {t} out of range [0, {layer.t_out})")
     x = _check_vector(x, layer.d_in, "x")
     y = _check_target([y_t], 1, "y_t")
-    row = _refine_step(x, y, layer.U[t:t + 1], layer.V, layer.sigma[t:t + 1],
+    u = layer.U[t:t + 1]
+    vx = layer.V @ x
+    row = _refine_step(vx, u @ vx, CensoredSample(y, layer.sigma[t:t + 1]), u,
                        layer.lam, cfg.mu)[0]
     if not np.isfinite(row).all():
         raise StepSizeError("basis row update diverged", iteration=0)
@@ -285,14 +310,16 @@ def train_layer(data: Dataset, cfg: TrainConfig, probe: np.ndarray | None = None
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n):
             x = data.X[i]
-            y = data.Y[i]
-            costs[i] = _cost(x, y, u, v, sigma_vec, cfg.lam)
+            sample = CensoredSample(data.Y[i], sigma_vec)
+            vx = v @ x
+            lin = u @ vx
+            costs[i] = _cost(lin, sample, u, v, cfg.lam)
             scale = _step_scale(cfg, i)
             eta_i = cfg.eta * scale
             mu_i = cfg.mu * scale
 
-            v_new = _sketch_step(x, y, u, v, sigma_vec, cfg.lam, eta_i,
-                                 cfg.v_inner_steps)
+            v_new, vx, lin = _sketch_step(x, vx, lin, sample, u, v, cfg.lam,
+                                          eta_i, cfg.v_inner_steps)
             if not np.isfinite(v_new).all():
                 raise StepSizeError(
                     f"sketch update diverged at sample {i}", iteration=i,
@@ -300,7 +327,7 @@ def train_layer(data: Dataset, cfg: TrainConfig, probe: np.ndarray | None = None
                     trace=_finish(costs, du_norms, sub, sub_raw, i))
             v = v_new
 
-            u_new = _refine_step(x, y, u, v, sigma_vec, cfg.lam, mu_i)
+            u_new = _refine_step(vx, lin, sample, u, cfg.lam, mu_i)
             if not np.isfinite(u_new).all():
                 raise StepSizeError(
                     f"basis update diverged at sample {i}", iteration=i,

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from subspace_net.censored import (
     CENSORED_Z_CAP,
     CensoredNllTerm,
+    CensoredSample,
     censored_nll,
     censored_nll_array,
     grad_mu_censored_nll,
@@ -161,7 +162,7 @@ class TestGradMu:
             got = grad_mu_censored_nll_array(0.0, r, 1.0)
             assert got == pytest.approx(series, rel=1e-12, abs=0.0), r
 
-    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=500)
     @given(sigma=st.floats(1e-2, 1e2), ratio=st.floats(-35.0, 35.0),
            censored=st.booleans(), y_ratio=st.floats(1e-3, 35.0))
     def test_matches_finite_differences_over_extreme_ratios(
@@ -190,3 +191,25 @@ class TestArrayKernels:
             term = CensoredNllTerm(y[i], mu[i], sigma[i])
             assert nll_vec[i] == pytest.approx(censored_nll(term), rel=1e-14)
             assert grad_vec[i] == pytest.approx(grad_mu_censored_nll(term), rel=1e-14)
+
+    @settings(max_examples=300)
+    @given(st.lists(st.tuples(
+        st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+        st.one_of(st.floats(-1e12, 1e12), st.just(math.nan)),
+        st.floats(1e-2, 1e2)), min_size=1, max_size=40))
+    def test_per_sample_path_is_bit_identical(self, entries):
+        # training builds a CensoredSample once per sample and passes it to
+        # every kernel call; the result and the saturation warnings must be
+        # exactly those of the three-argument call
+        y, mu, sigma = (np.array(col) for col in zip(*entries))
+        sample = CensoredSample(y, sigma)
+        for kernel in (censored_nll_array, grad_mu_censored_nll_array):
+            with warnings.catch_warnings(record=True) as plain:
+                warnings.simplefilter("always")
+                expected = kernel(y, mu, sigma)
+            with warnings.catch_warnings(record=True) as reused:
+                warnings.simplefilter("always")
+                got = kernel(y, mu, sigma, sample=sample)
+            assert got.tobytes() == expected.tobytes()
+            assert [str(w.message) for w in reused] == [str(w.message) for w in plain]
+            assert all(w.category is SaturationWarning for w in reused)

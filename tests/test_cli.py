@@ -11,6 +11,7 @@ from subspace_net.cli import main
 from subspace_net.config import load_config, validate_config_dict
 from subspace_net.data import gen_single_layer, save_csv
 from subspace_net.errors import ConfigError
+from subspace_net.network import save_model
 
 
 def write_config(tmp_path, **overrides):
@@ -333,6 +334,18 @@ class TestRun:
         assert len(rows) == 2
         assert ",ok," in rows[1]
 
+    def test_non_utf8_csv_fails_the_cell(self, tmp_path, capsys):
+        fx = tmp_path / "features.csv"
+        fy = tmp_path / "targets.csv"
+        fx.write_bytes(b"x0,x1\n1,\xff\n")
+        fy.write_text("s\n0\n")
+        path = write_config(
+            tmp_path, seeds=[0],
+            data={"kind": "csv", "features_path": str(fx), "targets_path": str(fy)})
+        assert main(["run", str(path)]) == 3
+        rows = (tmp_path / "out" / "results.csv").read_text().strip().splitlines()
+        assert "features.csv: not UTF-8 text" in rows[1]
+
     def test_csv_kind_requires_paths(self, tmp_path, capsys):
         path = write_config(tmp_path, data={"kind": "csv"})
         assert main(["validate", str(path)]) == 1
@@ -396,6 +409,16 @@ class TestPredict:
         save_csv(data, fx, tmp_path / "unused.csv")
         assert main(["predict", "--model", str(model),
                      "--features", str(fx), "--out", str(tmp_path / "p.csv")]) == 2
+
+    def test_predict_non_utf8_features_exit_2(self, tmp_path, capsys):
+        from test_network import make_net
+        model = tmp_path / "model.ssnw"
+        save_model(make_net(np.random.default_rng(7), depth=1, t=2, d=2), model)
+        fx = tmp_path / "feat.csv"
+        fx.write_bytes(b"x0,x1\n1,\xff\n")
+        assert main(["predict", "--model", str(model),
+                     "--features", str(fx), "--out", str(tmp_path / "p.csv")]) == 2
+        assert "feat.csv: not UTF-8 text" in capsys.readouterr().err
 
     def test_predict_missing_model(self, tmp_path):
         assert main(["predict", "--model", str(tmp_path / "no.ssnw"),

@@ -191,6 +191,23 @@ class TestCsvRoundTrip:
         assert "features.csv:4:1" in message
         assert "features.csv:5:2" in message
 
+    def test_non_utf8_byte_is_a_parse_error(self, tmp_path):
+        fx = tmp_path / "features.csv"
+        fy = tmp_path / "targets.csv"
+        fx.write_bytes(b"x0,x1\n1,\xff\n")
+        fy.write_text("s\n0\n")
+        with pytest.raises(ParseError, match=r"features\.csv: not UTF-8 text") as excinfo:
+            load_csv(fx, fy)
+        assert isinstance(excinfo.value.__cause__, UnicodeDecodeError)
+
+    def test_empty_header_row_rejected(self, tmp_path):
+        fx = tmp_path / "features.csv"
+        fy = tmp_path / "targets.csv"
+        fx.write_text("\n\n")
+        fy.write_text("s\n0\n")
+        with pytest.raises(ParseError, match=r"features\.csv:1: header row has no columns"):
+            load_csv(fx, fy)
+
     def test_negative_feature_allowed(self, tmp_path):
         fx = tmp_path / "features.csv"
         fy = tmp_path / "targets.csv"

@@ -318,9 +318,9 @@ class TestTrainLayer:
         calls = {"nll": 0, "grad": 0}
 
         def counting(name, kernel):
-            def wrapped(*args):
+            def wrapped(*args, **kwargs):
                 calls[name] += 1
-                return kernel(*args)
+                return kernel(*args, **kwargs)
             return wrapped
 
         monkeypatch.setattr(layer_module, "censored_nll_array",
@@ -335,6 +335,14 @@ class TestTrainLayer:
         calls.update(nll=0, grad=0)
         sketch_v(data.X[0], data.Y[0], layer, cfg)
         assert calls == {"nll": 0, "grad": 4}
+
+        calls.update(nll=0, grad=0)
+        refine_u_row(1, data.X[0], float(data.Y[0, 1]), layer, cfg)
+        assert calls == {"nll": 0, "grad": 1}
+
+        calls.update(nll=0, grad=0)
+        instantaneous_cost(data.X[0], data.Y[0], layer)
+        assert calls == {"nll": 1, "grad": 0}
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(EmptyInputError):
@@ -415,6 +423,15 @@ class TestTrainConfigValidation:
 
 
 class TestSubspaceLayerValidation:
+    @pytest.mark.parametrize("u_shape, v_shape, t", [
+        ((3, 0), (0, 4), 3),   # rank 0
+        ((0, 2), (2, 4), 0),   # no tasks
+        ((3, 2), (2, 0), 3),   # no inputs
+    ])
+    def test_empty_dimensions_rejected(self, u_shape, v_shape, t):
+        with pytest.raises(DimensionError):
+            SubspaceLayer(U=np.ones(u_shape), V=np.ones(v_shape), sigma=np.ones(t))
+
     @pytest.mark.parametrize("lam", [math.nan, math.inf, -0.5])
     def test_lam_must_be_finite_and_nonnegative(self, lam):
         with pytest.raises(InvalidArgumentError):

@@ -38,13 +38,26 @@ def make_net(rng, depth=2, t=3, d=4, skip_mode="concat"):
     return SubspaceNetwork(layers=layers, skip_mode=skip_mode)
 
 
+# defect -> (d_in, t_out, r) of a one-layer file
+EMPTY_DIMENSIONS = {"zero_rank": (4, 3, 0), "zero_tasks": (4, 0, 2),
+                    "zero_inputs": (0, 3, 2)}
+
+
 def write_invalid_model(path, defect):
     """Write a model file with a valid checksum whose content cannot form a
     network: no layers, a non-finite basis, a non-finite regularization
-    weight, or layers of different widths."""
+    weight, layers of different widths, or a layer with rank 0, no tasks or
+    no inputs."""
     import struct
     import zlib
     rng = np.random.default_rng(25)
+    if defect in EMPTY_DIMENSIONS:
+        d_in, t_out, r = EMPTY_DIMENSIONS[defect]
+        body = (struct.pack("<IBIII", 1, 0, d_in, t_out, 1)
+                + struct.pack("<IIId", d_in, t_out, r, 0.0)
+                + np.ones(t_out + t_out * r + r * d_in, dtype="<f8").tobytes())
+        path.write_bytes(b"SSNW" + body + struct.pack("<I", zlib.crc32(body)))
+        return
     if defect == "zero_depth":
         save_model(make_net(rng, depth=1), path)
         header = bytearray(path.read_bytes()[4:21])  # version .. depth
@@ -328,6 +341,9 @@ class TestModelFile:
         ("non_finite_u", InvalidArgumentError),
         ("nan_lam", InvalidArgumentError),
         ("widths_disagree", DimensionError),
+        ("zero_rank", DimensionError),
+        ("zero_tasks", DimensionError),
+        ("zero_inputs", DimensionError),
     ])
     def test_invalid_structure_is_a_format_error(self, tmp_path, defect, cause):
         # every file below carries a valid checksum; only its structure is bad
