@@ -5,9 +5,11 @@
     ssn predict --model M --features F --out P
                                         batch predictions from a saved model
 
-Exit codes: 0 ok, 1 config error, 2 IO error, 3 numeric failure in every
-cell. `validate` loads the config exactly as `run` does, so a config that
-validates also runs. Cells run one after another in one process.
+Exit codes: 0 ok, 1 config error, 2 IO error (a missing or malformed data
+or model file), 3 numeric failure in every cell. `validate` loads the
+config exactly as `run` does, so a config that validates also runs; `run`
+reads csv data once, before any cell. Cells run one after another in one
+process.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ def _cmd_config(args) -> int:
         return 0
     try:
         return run_experiment(cfg)
-    except OSError as exc:
+    except (OSError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -56,10 +58,7 @@ def _cmd_predict(args) -> int:
         return 2
     try:
         _, x = parse_numeric_csv(args.features)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ParseError as exc:
+    except (OSError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if x.shape[1] != net.input_dim:

@@ -187,7 +187,8 @@ def _csv_records(path):
 
 
 def parse_numeric_csv(path, *, nonnegative: bool = False):
-    """Read one strict CSV: header row, every cell a finite decimal number.
+    """Read one strict CSV: header row, every cell a finite plain ASCII
+    decimal number (no ``_`` digit grouping).
 
     Returns ``(header, matrix)``; any malformed cell rejects the whole file
     with its location, and a file that is not UTF-8 text, or whose header
@@ -213,6 +214,9 @@ def parse_numeric_csv(path, *, nonnegative: bool = False):
                 problems.append(f"{path}:{line_no}:{col}: missing cell")
                 break
             try:
+                # float() also takes digit grouping and non-ASCII digits
+                if "_" in tok or not tok.isascii():
+                    raise ValueError(tok)
                 val = float(tok)
             except ValueError:
                 problems.append(f"{path}:{line_no}:{col}: non-numeric cell {tok!r}")

@@ -60,14 +60,13 @@ def _atomic_write(path, text: str):
 
 
 def _make_data(cfg: ExperimentConfig, data_seed: int):
+    """A planted dataset and its truth, drawn from ``data_seed``."""
     d = cfg.data
     if d.kind == "planted":
         return gen_single_layer(d.n, d.d, d.t, d.r, d.sigma, seed=data_seed)
     if d.kind == "planted_deep":
         return gen_deep(d.n, d.d, d.t, d.r, d.sigma, d.depth, seed=data_seed)
-    if d.kind == "planted_hetero":
-        return gen_heteroscedastic(d.n, d.d, d.t, d.r, d.sigma_set, seed=data_seed)
-    return load_csv(d.features_path, d.targets_path), None
+    return gen_heteroscedastic(d.n, d.d, d.t, d.r, d.sigma_set, seed=data_seed)
 
 
 def _sub_seed(seed: int, tag: int) -> int:
@@ -160,14 +159,16 @@ def _cell_paths(cfg: ExperimentConfig, cell: Cell):
             os.path.join(cfg.output_dir, "models", f"{stem}.ssnw"))
 
 
-def _setup(cfg: ExperimentConfig, cell: Cell):
+def _setup(cfg: ExperimentConfig, cell: Cell, csv_data: Dataset | None):
     """The preamble of every recipe: the cell's base row, the planted truth
     (None for csv data), the training and validation data (the full dataset
     and None unless the cell has a train fraction), the training config and
     the likelihood noise scale. Both of the last scale with the target RMS
-    of the training data where the config asks for it."""
+    of the training data where the config asks for it. ``csv_data`` is the
+    run's loaded csv dataset, or None to draw the cell's planted data."""
     row = _base_row(cfg, cell)
-    data, truth = _make_data(cfg, _sub_seed(cell.seed, 0))
+    data, truth = ((csv_data, None) if csv_data is not None
+                   else _make_data(cfg, _sub_seed(cell.seed, 0)))
     train, valid = data, None
     if cell.fraction is not None:
         train, valid = split(data, cell.fraction, seed=_sub_seed(cell.seed, 3))
@@ -184,8 +185,8 @@ def _expand(cfg: ExperimentConfig, train, tc: TrainConfig, sigma, **overrides):
     return expand(train, cfg.depth, tc, **{**settings, **overrides})
 
 
-def _run_single_layer_recovery(cfg: ExperimentConfig, cell: Cell) -> dict:
-    row, truth, data, _, tc, sigma = _setup(cfg, cell)
+def _run_single_layer_recovery(cfg: ExperimentConfig, cell: Cell, csv_data) -> dict:
+    row, truth, data, _, tc, sigma = _setup(cfg, cell, csv_data)
     probe = truth.us[0] if (truth is not None and cell.rank == cfg.data.r) else None
     layer, trace = train_layer(data, tc, probe=probe, sigma=sigma)
     row["samples_seen"] = trace.samples_seen
@@ -210,8 +211,8 @@ def _run_single_layer_recovery(cfg: ExperimentConfig, cell: Cell) -> dict:
     return row
 
 
-def _run_deep_recovery(cfg: ExperimentConfig, cell: Cell) -> dict:
-    row, truth, data, _, tc, sigma = _setup(cfg, cell)
+def _run_deep_recovery(cfg: ExperimentConfig, cell: Cell, csv_data) -> dict:
+    row, truth, data, _, tc, sigma = _setup(cfg, cell, csv_data)
     net, traces = _expand(cfg, data, tc, sigma)
     row["trained_depth"] = net.depth
     if truth is not None:
@@ -239,8 +240,8 @@ def _anmse_curve(net, valid, depth: int) -> list[float]:
             for k in range(1, depth + 1)]
 
 
-def _run_depth_sweep(cfg: ExperimentConfig, cell: Cell) -> dict:
-    row, _, train, valid, tc, sigma = _setup(cfg, cell)
+def _run_depth_sweep(cfg: ExperimentConfig, cell: Cell, csv_data) -> dict:
+    row, _, train, valid, tc, sigma = _setup(cfg, cell, csv_data)
     net, traces = _expand(cfg, train, tc, sigma)
     row["trained_depth"] = net.depth
     row["samples_seen"] = traces[0].samples_seen
@@ -258,18 +259,15 @@ def _run_depth_sweep(cfg: ExperimentConfig, cell: Cell) -> dict:
     return row
 
 
-def _run_calibration_study(cfg: ExperimentConfig, cell: Cell) -> dict:
-    row, truth, train, valid, tc, sigma = _setup(cfg, cell)
-    results = {}
-    for calibrate in (False, True):
-        net, _ = _expand(cfg, train, tc, sigma, calibrate=calibrate,
-                         stop_on_degrade=False)
-        results[calibrate] = anmse(valid.Y, forward_batch(net, valid.X))
-    row["anmse_noncalibrated"] = results[False]
-    row["anmse_calibrated"] = results[True]
-    layer, _ = train_layer(train, tc, sigma=sigma)
-    report = calibrate_sigma(layer, Dataset(X=train.X, Y=train.Y),
-                             residual_set=cfg.residual_set)
+def _run_calibration_study(cfg: ExperimentConfig, cell: Cell, csv_data) -> dict:
+    row, truth, train, valid, tc, sigma = _setup(cfg, cell, csv_data)
+    nets = {calibrate: _expand(cfg, train, tc, sigma, calibrate=calibrate,
+                               stop_on_degrade=False)[0]
+            for calibrate in (False, True)}
+    row["anmse_noncalibrated"] = anmse(valid.Y, forward_batch(nets[False], valid.X))
+    row["anmse_calibrated"] = anmse(valid.Y, forward_batch(nets[True], valid.X))
+    # layer 0 of an expansion is the layer `train_layer` returns
+    report = calibrate_sigma(nets[True].layers[0], train, residual_set=cfg.residual_set)
     if truth is not None:
         agree = total = 0
         for a in range(train.t):
@@ -304,10 +302,10 @@ def _cells(cfg: ExperimentConfig) -> list[Cell]:
             for f in sorted(fractions) for r in sorted(ranks)]
 
 
-def _run_cell(cfg: ExperimentConfig, cell: Cell) -> dict:
+def _run_cell(cfg: ExperimentConfig, cell: Cell, csv_data: Dataset | None) -> dict:
     start = time.perf_counter()
     try:
-        row = _RECIPES[cfg.experiment](cfg, cell)
+        row = _RECIPES[cfg.experiment](cfg, cell, csv_data)
     except SubspaceNetError as exc:
         row = _base_row(cfg, cell)
         row["status"] = f"error: {exc}"
@@ -365,13 +363,16 @@ def _summarize(rows: list[dict]) -> dict:
 def run_experiment(cfg: ExperimentConfig) -> int:
     """Execute every cell, write artifacts, and return an exit code: 0 on
     success (even with partial cell failures), 3 if every cell failed
-    numerically."""
+    numerically. csv data is read once, before any cell or artifact: a
+    malformed file raises `ParseError` and an unreadable one `OSError`."""
+    d = cfg.data
+    csv_data = load_csv(d.features_path, d.targets_path) if d.kind == "csv" else None
     os.makedirs(cfg.output_dir, exist_ok=True)
     if cfg.save_traces:
         os.makedirs(os.path.join(cfg.output_dir, "traces"), exist_ok=True)
     if cfg.save_models:
         os.makedirs(os.path.join(cfg.output_dir, "models"), exist_ok=True)
-    rows = [_run_cell(cfg, cell) for cell in _cells(cfg)]
+    rows = [_run_cell(cfg, cell, csv_data) for cell in _cells(cfg)]
     _write_results(os.path.join(cfg.output_dir, "results.csv"), rows)
     _atomic_write(os.path.join(cfg.output_dir, "summary.json"),
                   json.dumps(_summarize(rows), indent=2, sort_keys=True) + "\n")

@@ -35,6 +35,7 @@ from .layer import (
     SubspaceLayer,
     TraceLog,
     TrainConfig,
+    _resolve_sigma,
     predict_batch,
     predict_linear_batch,
     train_layer,
@@ -96,7 +97,7 @@ class CalibrationReport:
     """Per-task noise estimates from one layer's pre-activation residuals.
 
     ``clamped_low`` / ``clamped_high`` flag tasks whose raw estimate fell
-    outside ``[sigma_min, sigma_max]``. In ``uncensored`` mode, tasks without
+    outside ``[SIGMA_MIN, SIGMA_MAX]``. In ``uncensored`` mode, tasks without
     a single positive target fall back to the all-samples residual and are
     flagged in ``fallback``.
     """
@@ -109,8 +110,11 @@ class CalibrationReport:
     n_used: np.ndarray
 
 
-def _layer_inputs(net: SubspaceNetwork, h: np.ndarray, x: np.ndarray) -> np.ndarray:
-    if net.skip_mode == "concat":
+def _layer_inputs(skip_mode: str, h: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """What a stacked layer consumes: ``[h; x]`` in ``concat`` mode, ``h`` in
+    ``naive`` mode, along the last axis (rows of inputs, or per-column
+    vectors)."""
+    if skip_mode == "concat":
         return np.concatenate([h, x], axis=-1)
     return h
 
@@ -135,54 +139,39 @@ def forward_batch(net: SubspaceNetwork, x_mat, upto: int | None = None) -> np.nd
     h = predict_batch(net.layers[0], x_mat)
     for k in range(1, upto):
         try:
-            h = predict_batch(net.layers[k], _layer_inputs(net, h, x_mat))
+            h = predict_batch(net.layers[k], _layer_inputs(net.skip_mode, h, x_mat))
         except DimensionError as exc:
             raise DimensionError(f"layer {k}: {exc}") from exc
     return h
 
 
 def calibrate_sigma(layer: SubspaceLayer, data: Dataset,
-                    residual_set: str = "all",
-                    sigma_min: float = SIGMA_MIN,
-                    sigma_max: float = SIGMA_MAX) -> CalibrationReport:
+                    residual_set: str = "all") -> CalibrationReport:
     """Estimate per-task noise scales from pre-activation residuals.
 
     For each task, ``sigma_t^2`` is the mean squared residual between the
     targets and the layer's linear (pre-ReLU) predictions, clamped to
-    ``[sigma_min, sigma_max]``. ``residual_set="all"`` averages over every
+    ``[SIGMA_MIN, SIGMA_MAX]``. ``residual_set="all"`` averages over every
     sample; ``"uncensored"`` restricts to samples with a positive target,
     which avoids inflating the estimate on heavily censored tasks where
-    zero targets sit far from a strongly negative predictor.
+    zero targets sit far from a strongly negative predictor. A task with no
+    positive target falls back to every sample.
     """
     if residual_set not in RESIDUAL_SETS:
         raise InvalidArgumentError(
             f"residual_set must be one of {RESIDUAL_SETS}, got {residual_set!r}")
     if data.n < 1:
         raise EmptyInputError("calibration data is empty")
-    if not 0 < sigma_min <= sigma_max:
-        raise InvalidArgumentError("need 0 < sigma_min <= sigma_max")
+    used = data.Y > 0 if residual_set == "uncensored" else np.ones(data.Y.shape, dtype=bool)
+    fallback = ~used.any(axis=0)
+    used[:, fallback] = True
+    n_used = used.sum(axis=0)
     resid2 = (data.Y - predict_linear_batch(layer, data.X)) ** 2
-    mean_all = resid2.mean(axis=0)
-    n_used = np.full(data.t, data.n)
-    fallback = np.zeros(data.t, dtype=bool)
-    if residual_set == "uncensored":
-        pos = data.Y > 0
-        counts = pos.sum(axis=0)
-        with np.errstate(invalid="ignore"):
-            mean_pos = np.where(counts > 0,
-                                (resid2 * pos).sum(axis=0) / np.maximum(counts, 1),
-                                mean_all)
-        fallback = counts == 0
-        n_used = np.where(fallback, data.n, counts)
-        mean_sq = mean_pos
-    else:
-        mean_sq = mean_all
-    raw = np.sqrt(mean_sq)
-    sigma = np.clip(raw, sigma_min, sigma_max)
+    raw = np.sqrt(np.where(used, resid2, 0.0).sum(axis=0) / n_used)
     return CalibrationReport(
-        sigma=sigma,
-        clamped_low=raw < sigma_min,
-        clamped_high=raw > sigma_max,
+        sigma=np.clip(raw, SIGMA_MIN, SIGMA_MAX),
+        clamped_low=raw < SIGMA_MIN,
+        clamped_high=raw > SIGMA_MAX,
         fallback=fallback,
         residual_set=residual_set,
         n_used=n_used,
@@ -194,6 +183,11 @@ def _derived_seed(seed: int, k: int) -> int:
         return seed
     return int(np.random.SeedSequence(entropy=seed, spawn_key=(k,))
                .generate_state(1, dtype=np.uint64)[0])
+
+
+def _rms(m: np.ndarray) -> float:
+    """Root-mean-square entry, or 1 for an all-zero block."""
+    return float(np.sqrt(np.mean(m ** 2))) or 1.0
 
 
 def expand(data: Dataset, depth: int, cfg: TrainConfig, calibrate: bool = False,
@@ -216,17 +210,18 @@ def expand(data: Dataset, depth: int, cfg: TrainConfig, calibrate: bool = False,
     ``c_t = s_ref / s_t`` with ``s_ref`` chosen so that ``mean_t c_t^2 = 1``.
     Task t then enters the sketch with relative weight ``c_t^2``, its own
     basis row keeps the step dynamics of an uncalibrated layer, and the
-    mean task weight is unchanged. The whitening is folded back into the
-    rows of U, and the layer records ``s_t`` as its ``sigma``: its likelihood
-    is the calibrated one up to a common factor on every noise scale. The
-    layer's trace costs are those of the whitened objective.
+    mean task weight is unchanged. The layer records ``s_t`` as its
+    ``sigma``: its likelihood is the calibrated one up to a common factor on
+    every noise scale, and its trace costs are those of the whitened one.
 
     Stacked-layer inputs are standardized for conditioning: the skip block
     to unit root-mean-square entry scale and the prediction block to
     ``pred_scale`` (a small value stops the optimizer from leaning on the
-    lossy ReLU'd predictions before it has exploited the raw features). The
-    factors are folded back into the trained sketch, so stored layers
-    operate on the raw concatenated inputs.
+    lossy ReLU'd predictions before it has exploited the raw features).
+    Every layer trains on its inputs divided per column by ``cols`` (all
+    ones at layer 0) and its targets whitened per task by ``rows`` (all ones
+    without calibration), and is stored as ``U / rows`` and ``V / cols``, so
+    stored layers operate on the raw inputs and predict the raw targets.
 
     With ``stop_on_degrade`` (the greedy-boosting guard), a freshly trained
     layer is accepted only if it does not increase the training mean squared
@@ -235,8 +230,9 @@ def expand(data: Dataset, depth: int, cfg: TrainConfig, calibrate: bool = False,
     appending layers never degrades the training fit.
 
     With ``depth=1`` the result wraps exactly the output of `train_layer`
-    on the same arguments. Layer k's initialization seed is derived from
-    ``cfg.seed`` and k (layer 0 uses ``cfg.seed`` itself).
+    on the same arguments, and layer 0 of any expansion equals it. Layer
+    k's initialization seed is derived from ``cfg.seed`` and k (layer 0
+    uses ``cfg.seed`` itself).
     """
     if depth < 1:
         raise InvalidArgumentError(f"depth must be >= 1, got {depth}")
@@ -247,43 +243,23 @@ def expand(data: Dataset, depth: int, cfg: TrainConfig, calibrate: bool = False,
         raise InvalidArgumentError(f"pred_scale must be positive, got {pred_scale}")
 
     t = data.t
+    sigma_k = noise = _resolve_sigma(sigma, t)
+    skip_cols = np.full(data.d, _rms(data.X))
+    inputs, targets = data.X, data.Y
+    cols, rows = np.ones(data.d), np.ones(t)
     layers: list[SubspaceLayer] = []
     traces: list[TraceLog] = []
-    inputs = data.X
-    sigma_k = sigma
-    targets = data.Y
-    sigma_hat = whiten = None
     h_prev = None
     for k in range(depth):
         cfg_k = replace(cfg, seed=_derived_seed(cfg.seed, k))
-        if k == 0:
-            scales = None
-            z = inputs
-        else:
-            scales = np.ones(2)
-            scales[0] = (float(np.sqrt(np.mean(inputs[:, :t] ** 2))) or 1.0) / pred_scale
-            if skip_mode == "concat":
-                scales[1] = float(np.sqrt(np.mean(inputs[:, t:] ** 2))) or 1.0
-            z = inputs.copy()
-            z[:, :t] /= scales[0]
-            if skip_mode == "concat":
-                z[:, t:] /= scales[1]
         try:
-            layer, trace = train_layer(
-                Dataset(X=z, Y=targets), cfg_k, sigma=sigma_k)
+            trained, trace = train_layer(
+                Dataset(X=inputs / cols, Y=targets), cfg_k, sigma=sigma_k)
         except SubspaceNetError as exc:
             exc.args = (f"layer {k}: {exc.args[0] if exc.args else ''}",)
             raise
-        if scales is not None:
-            v = layer.V.copy()
-            v[:, :t] /= scales[0]
-            if skip_mode == "concat":
-                v[:, t:] /= scales[1]
-            u, sigma_out = layer.U, layer.sigma
-            if whiten is not None:
-                u, sigma_out = u / whiten[:, None], sigma_hat
-            layer = SubspaceLayer(U=u, V=v, sigma=sigma_out, lam=layer.lam)
-
+        layer = SubspaceLayer(U=trained.U / rows[:, None], V=trained.V / cols,
+                              sigma=noise, lam=trained.lam)
         h = predict_batch(layer, inputs)
         if k > 0 and stop_on_degrade:
             if np.mean((data.Y - h) ** 2) > np.mean((data.Y - h_prev) ** 2):
@@ -293,17 +269,16 @@ def expand(data: Dataset, depth: int, cfg: TrainConfig, calibrate: bool = False,
         h_prev = h
         if k + 1 < depth:
             if calibrate:
-                report = calibrate_sigma(layer, Dataset(X=inputs, Y=data.Y),
-                                         residual_set=residual_set)
                 # calibration contributes relative task weighting only: whiten
                 # the targets so the task weights c_t^2 average one, and train
                 # at the uniform scale carrying the mean uncalibrated weight
-                sigma_hat = report.sigma
-                whiten = 1.0 / (sigma_hat * np.sqrt(np.mean(sigma_hat ** -2.0)))
-                targets = data.Y * whiten
+                noise = calibrate_sigma(layer, Dataset(X=inputs, Y=data.Y),
+                                        residual_set=residual_set).sigma
+                rows = 1.0 / (noise * np.sqrt(np.mean(noise ** -2.0)))
+                targets = data.Y * rows
                 sigma_k = 1.0 / np.sqrt(np.mean(layers[0].sigma ** -2.0))
-            inputs = (np.concatenate([h, data.X], axis=1)
-                      if skip_mode == "concat" else h)
+            inputs = _layer_inputs(skip_mode, h, data.X)
+            cols = _layer_inputs(skip_mode, np.full(t, _rms(h) / pred_scale), skip_cols)
     return SubspaceNetwork(layers=layers, skip_mode=skip_mode), traces
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from subspace_net.cli import main
 from subspace_net.config import load_config, validate_config_dict
-from subspace_net.data import gen_single_layer, save_csv
+from subspace_net.data import gen_single_layer, load_csv, save_csv
 from subspace_net.errors import ConfigError
 from subspace_net.network import save_model
 
@@ -335,6 +335,8 @@ class TestRun:
         assert ",ok," in rows[1]
 
     def test_non_utf8_csv_fails_the_cell(self, tmp_path, capsys):
+        # the data files are read once, before any cell: a malformed one is
+        # an IO error of the run, not a numeric failure of every cell
         fx = tmp_path / "features.csv"
         fy = tmp_path / "targets.csv"
         fx.write_bytes(b"x0,x1\n1,\xff\n")
@@ -342,9 +344,30 @@ class TestRun:
         path = write_config(
             tmp_path, seeds=[0],
             data={"kind": "csv", "features_path": str(fx), "targets_path": str(fy)})
-        assert main(["run", str(path)]) == 3
+        assert main(["run", str(path)]) == 2
+        assert "features.csv: not UTF-8 text" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "results.csv").exists()
+
+    def test_csv_data_read_once_per_run(self, tmp_path, monkeypatch):
+        from subspace_net import experiments
+        data, _ = gen_single_layer(150, 8, 4, 2, 1.0, seed=31)
+        fx = tmp_path / "features.csv"
+        fy = tmp_path / "targets.csv"
+        save_csv(data, fx, fy)
+        calls = []
+
+        def counting_load_csv(*args):
+            calls.append(args)
+            return load_csv(*args)
+
+        monkeypatch.setattr(experiments, "load_csv", counting_load_csv)
+        path = write_config(
+            tmp_path, seeds=[0, 1],
+            data={"kind": "csv", "features_path": str(fx), "targets_path": str(fy)})
+        assert main(["run", str(path)]) == 0
         rows = (tmp_path / "out" / "results.csv").read_text().strip().splitlines()
-        assert "features.csv: not UTF-8 text" in rows[1]
+        assert len(rows) == 3 and all(",ok," in row for row in rows[1:])
+        assert calls == [(str(fx), str(fy))]
 
     def test_csv_kind_requires_paths(self, tmp_path, capsys):
         path = write_config(tmp_path, data={"kind": "csv"})

@@ -191,6 +191,17 @@ class TestCsvRoundTrip:
         assert "features.csv:4:1" in message
         assert "features.csv:5:2" in message
 
+    @pytest.mark.parametrize("token", ["1_000", "\u0661\u0662"])
+    def test_non_plain_number_rejected(self, tmp_path, token):
+        # float() reads digit grouping and Arabic-Indic digits; the files
+        # hold plain ASCII decimals only
+        fx = tmp_path / "features.csv"
+        fy = tmp_path / "targets.csv"
+        fx.write_text(f"a,b\n2,{token}\n", encoding="utf-8")
+        fy.write_text("s\n0\n")
+        with pytest.raises(ParseError, match=r"features\.csv:2:2: non-numeric cell"):
+            load_csv(fx, fy)
+
     def test_non_utf8_byte_is_a_parse_error(self, tmp_path):
         fx = tmp_path / "features.csv"
         fy = tmp_path / "targets.csv"

@@ -162,16 +162,23 @@ class TestCalibrateSigma:
         assert report.clamped_low.any()
 
     def test_uncensored_mode_ignores_censored_rows(self):
-        layer = SubspaceLayer(U=np.array([[1.0]]), V=np.array([[1.0]]),
-                              sigma=np.ones(1), lam=0.0)
+        layer = SubspaceLayer(U=np.array([[1.0], [1.0]]), V=np.array([[1.0]]),
+                              sigma=np.ones(2), lam=0.0)
         x = np.array([[-5.0], [1.0], [2.0]])
-        y = np.array([[0.0], [1.5], [2.5]])  # censored row has huge residual
+        # task 0: the censored row has a huge residual; task 1 is censored
+        # everywhere, so it falls back to every sample
+        y = np.array([[0.0, 0.0], [1.5, 0.0], [2.5, 0.0]])
         data = Dataset(X=x, Y=y)
         rep_all = calibrate_sigma(layer, data, residual_set="all")
         rep_unc = calibrate_sigma(layer, data, residual_set="uncensored")
         np.testing.assert_allclose(rep_unc.sigma[0], 0.5, rtol=1e-12)
         assert rep_all.sigma[0] > rep_unc.sigma[0]
         assert rep_unc.n_used[0] == 2
+        np.testing.assert_array_equal(rep_unc.fallback, [False, True])
+        assert rep_unc.n_used[1] == 3
+        np.testing.assert_allclose(rep_unc.sigma[1], np.sqrt(10.0), rtol=1e-12)
+        assert rep_unc.sigma[1] == rep_all.sigma[1]
+        assert not rep_all.fallback.any()
 
     def test_heteroscedastic_rank_agreement(self):
         data, truth = gen_heteroscedastic(3000, 30, 12, 3, [0.5, 3.0], seed=3)
@@ -205,6 +212,13 @@ class TestExpand:
         np.testing.assert_array_equal(net.layers[0].U, layer.U)
         np.testing.assert_array_equal(net.layers[0].V, layer.V)
         np.testing.assert_array_equal(traces[0].costs, trace.costs)
+        # layer 0 of a deeper, calibrated expansion is the same layer
+        deep, deep_traces = expand(data, 2, cfg, calibrate=True, stop_on_degrade=False)
+        for name in ("U", "V", "sigma"):
+            np.testing.assert_array_equal(getattr(deep.layers[0], name),
+                                          getattr(layer, name))
+        assert deep.layers[0].lam == layer.lam
+        np.testing.assert_array_equal(deep_traces[0].costs, trace.costs)
 
     def test_one_pass_per_layer(self):
         data, _ = gen_single_layer(35, 6, 4, 2, 1.0, seed=12)
