@@ -28,11 +28,10 @@ Both share one implementation.
 
 What a sample's targets and noise scales fix is computed once per sample as
 a `CensoredSample`: the indices of the censored entries, their ``sigma``,
-``sigma*sigma`` and ``log(sigma)``. Training hands it to each of the
-sample's kernel calls (``sample=``), so a call evaluates the uncensored
+``sigma*sigma`` and ``log(sigma)``. The array kernels take it with the
+predictors, so each of the sample's kernel calls evaluates the uncensored
 formula on all entries, then ``log_ndtr``/``erfcx`` and the cap test on the
-censored entries only, written in place. A call without it builds the same
-object from its arguments and runs the same code.
+censored entries only, written in place.
 """
 
 from __future__ import annotations
@@ -95,15 +94,6 @@ class CensoredSample:
         self.sigma_censored = sigma[self.censored]
 
 
-def _flat_sample(y, mu, sigma):
-    """The broadcast shape of the kernel arguments, the flat ``mu`` and the
-    `CensoredSample` of the flat ``y`` and ``sigma``."""
-    y, mu, sigma = np.broadcast_arrays(np.asarray(y, dtype=np.float64),
-                                       np.asarray(mu, dtype=np.float64),
-                                       np.asarray(sigma, dtype=np.float64))
-    return y.shape, mu.ravel(), CensoredSample(y.ravel(), sigma.ravel())
-
-
 def _censored_ratio(mu, sigma):
     """``mu/sigma`` of the censored entries, i.e. ``-z`` for the
     censored-branch argument z, clamped to the cap with a warning."""
@@ -117,47 +107,46 @@ def _censored_ratio(mu, sigma):
     return ratio
 
 
-def censored_nll_array(y, mu, sigma, *, sample=None):
-    """Elementwise censored negative log-likelihood (vectorized fast path).
+def censored_nll_array(sample: CensoredSample, mu) -> np.ndarray:
+    """Elementwise censored negative log-likelihood (vectorized fast path)
+    of the predictors ``mu`` (1-D float64, one per entry of ``sample``).
 
-    Entries with ``y <= 0`` use the censored branch. Inputs are assumed
-    validated (sigma > 0, y >= 0); shapes must broadcast. ``sample``, if
-    given, is ``CensoredSample(y, sigma)`` for 1-D ``y``, ``sigma`` and
-    ``mu`` of one length, built once for repeated calls on one sample.
+    Entries with ``y <= 0`` use the censored branch. The sample is assumed
+    validated (sigma > 0, y >= 0).
     """
-    shape = None
-    if sample is None:
-        shape, mu, sample = _flat_sample(y, mu, sigma)
     resid = (sample.y - mu) / sample.sigma
     out = 0.5 * resid * resid + sample.log_sigma + LOG_SQRT_2PI
     idx = sample.censored
     if idx.size:
         out[idx] = -log_ndtr(-_censored_ratio(mu[idx], sample.sigma_censored))
-    return out if shape is None else out.reshape(shape)
+    return out
 
 
-def grad_mu_censored_nll_array(y, mu, sigma, *, sample=None):
-    """Elementwise d(censored_nll)/d(mu) (vectorized fast path).
+def grad_mu_censored_nll_array(sample: CensoredSample, mu) -> np.ndarray:
+    """Elementwise d(censored_nll)/d(mu) (vectorized fast path), with
+    arguments as in `censored_nll_array`.
 
     Uncensored entries contribute ``-(y - mu)/sigma^2``; censored entries the
     inverse Mills ratio ``pdf(z) / (sigma * Phi(z))`` with ``z = -mu/sigma``,
-    evaluated through ``erfcx`` so the ratio survives deep tails. ``sample``
-    is as in `censored_nll_array`.
+    evaluated through ``erfcx`` so the ratio survives deep tails.
     """
-    shape = None
-    if sample is None:
-        shape, mu, sample = _flat_sample(y, mu, sigma)
     out = -(sample.y - mu) / sample.sigma_sq
     idx = sample.censored
     if idx.size:
         ratio = _censored_ratio(mu[idx], sample.sigma_censored)
         out[idx] = _SQRT_2_OVER_PI / (sample.sigma_censored * erfcx(ratio / _SQRT_2))
-    return out if shape is None else out.reshape(shape)
+    return out
+
+
+def _one_entry(term: CensoredNllTerm):
+    """The kernel arguments of one term: a one-entry sample and predictor."""
+    y, sigma, mu = np.array([[term.y], [term.sigma], [term.mu]], dtype=np.float64)
+    return CensoredSample(y, sigma), mu
 
 
 def censored_nll(term: CensoredNllTerm) -> float:
     """Negative log-likelihood of one censored observation."""
-    return float(censored_nll_array(term.y, term.mu, term.sigma))
+    return float(censored_nll_array(*_one_entry(term))[0])
 
 
 def grad_mu_censored_nll(term: CensoredNllTerm) -> float:
@@ -167,4 +156,4 @@ def grad_mu_censored_nll(term: CensoredNllTerm) -> float:
     gradient with respect to a sketch row or basis row is this scalar times
     the corresponding input vector.
     """
-    return float(grad_mu_censored_nll_array(term.y, term.mu, term.sigma))
+    return float(grad_mu_censored_nll_array(*_one_entry(term))[0])

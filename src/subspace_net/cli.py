@@ -15,13 +15,10 @@ process.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 
-import numpy as np
-
 from .config import load_config
-from .data import parse_numeric_csv
+from .data import _write_table, parse_numeric_csv
 from .errors import ConfigError, ModelFormatError, ParseError, SubspaceNetError
 from .experiments import run_experiment
 from .network import forward_batch, load_model
@@ -67,11 +64,7 @@ def _cmd_predict(args) -> int:
         return 2
     preds = forward_batch(net, x)
     try:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"target_{j}" for j in range(net.task_dim)])
-            for row in preds:
-                writer.writerow([f"{v:.17g}" for v in row])
+        _write_table(args.out, [f"target_{j}" for j in range(net.task_dim)], preds)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

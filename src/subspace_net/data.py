@@ -1,4 +1,5 @@
-"""Planted synthetic generators, strict CSV ingestion, and seeded splitting.
+"""Planted synthetic generators, strict CSV ingestion, seeded splitting,
+and the package's file writers.
 
 All generators draw from named substreams of one seed (one substream per
 matrix), so adding a new matrix later cannot perturb earlier draws and a
@@ -9,6 +10,8 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,6 +87,13 @@ class PlantedTruth:
 def _stream(seed: int, *key: int) -> np.random.Generator:
     """Named substream of ``seed``; distinct keys never share state."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+
+
+def _sub_seed(seed: int, *key: int) -> int:
+    """An integer seed derived from ``seed`` and ``key``; distinct keys give
+    unrelated seeds."""
+    return int(np.random.SeedSequence(entropy=seed, spawn_key=key)
+               .generate_state(1, dtype=np.uint64)[0])
 
 
 def _check_rank(r: int, t: int, d: int):
@@ -260,6 +270,27 @@ def _write_table(path, header, matrix):
         writer.writerow(header)
         for row in matrix:
             writer.writerow([f"{v:.17g}" for v in row])
+
+
+def _atomic_write(path, blob: bytes):
+    """Write ``blob`` to ``path`` through a temp file in the same directory
+    and a rename, so ``path`` holds either its old content or all of
+    ``blob``. The file gets the mode ``open(path, "w")`` would give it under
+    the current umask; on any failure the temp file is removed."""
+    path = os.fspath(path)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
+                               prefix=os.path.basename(path) + ".")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(blob)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def save_csv(data: Dataset, features_path, targets_path):

@@ -18,7 +18,6 @@ import io
 import json
 import math
 import os
-import tempfile
 import time
 from dataclasses import dataclass
 
@@ -26,7 +25,16 @@ import numpy as np
 
 from .baselines import fit_ridge, predict_baseline
 from .config import ExperimentConfig
-from .data import Dataset, gen_deep, gen_heteroscedastic, gen_single_layer, load_csv, split
+from .data import (
+    Dataset,
+    _atomic_write,
+    _sub_seed,
+    gen_deep,
+    gen_heteroscedastic,
+    gen_single_layer,
+    load_csv,
+    split,
+)
 from .errors import SubspaceNetError
 from .layer import TrainConfig, train_layer
 from .metrics import anmse, mutual_coherence, weight_correlations
@@ -51,14 +59,6 @@ class Cell:
     rank: int
 
 
-def _atomic_write(path, text: str):
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=os.path.basename(path) + ".")
-    with os.fdopen(fd, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def _make_data(cfg: ExperimentConfig, data_seed: int):
     """A planted dataset and its truth, drawn from ``data_seed``."""
     d = cfg.data
@@ -67,11 +67,6 @@ def _make_data(cfg: ExperimentConfig, data_seed: int):
     if d.kind == "planted_deep":
         return gen_deep(d.n, d.d, d.t, d.r, d.sigma, d.depth, seed=data_seed)
     return gen_heteroscedastic(d.n, d.d, d.t, d.r, d.sigma_set, seed=data_seed)
-
-
-def _sub_seed(seed: int, tag: int) -> int:
-    return int(np.random.SeedSequence(entropy=seed, spawn_key=(tag,))
-               .generate_state(1, dtype=np.uint64)[0])
 
 
 def _train_config(cfg: ExperimentConfig, rank: int, seed: int,
@@ -204,7 +199,8 @@ def _run_single_layer_recovery(cfg: ExperimentConfig, cell: Cell, csv_data) -> d
     if cfg.save_traces:
         os.makedirs(trace_dir, exist_ok=True)
         ref = float(np.linalg.norm(truth.us[0])) if truth is not None else None
-        _atomic_write(os.path.join(trace_dir, "layer0.csv"), _trace_csv(trace, ref))
+        _atomic_write(os.path.join(trace_dir, "layer0.csv"),
+                      _trace_csv(trace, ref).encode("utf-8"))
     if cfg.save_models:
         net = SubspaceNetwork(layers=[layer], skip_mode=cfg.skip_mode)
         save_model(net, model_path)
@@ -229,7 +225,7 @@ def _run_deep_recovery(cfg: ExperimentConfig, cell: Cell, csv_data) -> dict:
         os.makedirs(trace_dir, exist_ok=True)
         for k, trace in enumerate(traces):
             _atomic_write(os.path.join(trace_dir, f"layer{k}.csv"),
-                          _trace_csv(trace, None))
+                          _trace_csv(trace, None).encode("utf-8"))
     if cfg.save_models:
         save_model(net, model_path)
     return row
@@ -328,7 +324,7 @@ def _write_results(path, rows: list[dict]):
     writer.writerow(columns)
     for row in rows:
         writer.writerow([_fmt(row[c]) if c in row else "" for c in columns])
-    _atomic_write(path, buf.getvalue())
+    _atomic_write(path, buf.getvalue().encode("utf-8"))
 
 
 def _summarize(rows: list[dict]) -> dict:
@@ -375,7 +371,8 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     rows = [_run_cell(cfg, cell, csv_data) for cell in _cells(cfg)]
     _write_results(os.path.join(cfg.output_dir, "results.csv"), rows)
     _atomic_write(os.path.join(cfg.output_dir, "summary.json"),
-                  json.dumps(_summarize(rows), indent=2, sort_keys=True) + "\n")
+                  (json.dumps(_summarize(rows), indent=2, sort_keys=True) + "\n")
+                  .encode("utf-8"))
     if all(row["status"] != "ok" for row in rows):
         return 3
     return 0

@@ -30,7 +30,7 @@ from .censored import (
     censored_nll_array,
     grad_mu_censored_nll_array,
 )
-from .data import Dataset
+from .data import Dataset, _check_rank
 from .errors import (
     DimensionError,
     EmptyInputError,
@@ -157,8 +157,7 @@ def _check_vector(v, length, name):
 
 def _cost(lin, sample, u, v, lam) -> float:
     """Cost of one sample whose linear predictor ``U V x`` is ``lin``."""
-    nll = float(np.sum(censored_nll_array(sample.y, lin, sample.sigma,
-                                          sample=sample)))
+    nll = float(np.sum(censored_nll_array(sample, lin)))
     return nll + 0.5 * lam * (float(np.sum(u * u)) + float(np.sum(v * v)))
 
 
@@ -194,8 +193,7 @@ def _sketch_step(x, vx, lin, sample, u, v, lam, eta, steps):
     eta_ut = eta * u.T
     acc = np.zeros(v.shape[0])
     for _ in range(steps):
-        g = eta_ut @ grad_mu_censored_nll_array(sample.y, lin, sample.sigma,
-                                                sample=sample)
+        g = eta_ut @ grad_mu_censored_nll_array(sample, lin)
         vx *= shrink
         vx -= xx * g
         acc *= shrink
@@ -208,7 +206,7 @@ def _refine_step(vx, lin, sample, u, lam, mu):
     """One gradient step of size ``mu`` on every row of the basis U against
     the sketch V, where ``vx = V x`` and ``lin = U vx``; rows are
     independent, so this is one rank-one update."""
-    coeff = grad_mu_censored_nll_array(sample.y, lin, sample.sigma, sample=sample)
+    coeff = grad_mu_censored_nll_array(sample, lin)
     return u - mu * (lam * u + np.outer(coeff, vx))
 
 
@@ -288,9 +286,7 @@ def train_layer(data: Dataset, cfg: TrainConfig, probe: np.ndarray | None = None
         raise EmptyInputError("training data is empty")
     n, d = data.X.shape
     t = data.Y.shape[1]
-    if not 1 <= cfg.rank <= min(t, d):
-        raise InvalidArgumentError(
-            f"rank must satisfy 1 <= r <= min(t={t}, d={d}), got {cfg.rank}")
+    _check_rank(cfg.rank, t, d)
     sigma_vec = _resolve_sigma(sigma, t)
     if probe is not None:
         probe = np.asarray(probe, dtype=np.float64)

@@ -12,15 +12,13 @@ exists to demonstrate exactly that.
 
 from __future__ import annotations
 
-import os
 import struct
-import tempfile
 import zlib
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _atomic_write, _sub_seed
 from .errors import (
     ChecksumError,
     DimensionError,
@@ -178,13 +176,6 @@ def calibrate_sigma(layer: SubspaceLayer, data: Dataset,
     )
 
 
-def _derived_seed(seed: int, k: int) -> int:
-    if k == 0:
-        return seed
-    return int(np.random.SeedSequence(entropy=seed, spawn_key=(k,))
-               .generate_state(1, dtype=np.uint64)[0])
-
-
 def _rms(m: np.ndarray) -> float:
     """Root-mean-square entry, or 1 for an all-zero block."""
     return float(np.sqrt(np.mean(m ** 2))) or 1.0
@@ -251,7 +242,7 @@ def expand(data: Dataset, depth: int, cfg: TrainConfig, calibrate: bool = False,
     traces: list[TraceLog] = []
     h_prev = None
     for k in range(depth):
-        cfg_k = replace(cfg, seed=_derived_seed(cfg.seed, k))
+        cfg_k = replace(cfg, seed=_sub_seed(cfg.seed, k) if k else cfg.seed)
         try:
             trained, trace = train_layer(
                 Dataset(X=inputs / cols, Y=targets), cfg_k, sigma=sigma_k)
@@ -305,18 +296,8 @@ def save_model(net: SubspaceNetwork, path):
         body += _pack_matrix(layer.sigma)
         body += _pack_matrix(layer.U)
         body += _pack_matrix(layer.V)
-    blob = MODEL_MAGIC + bytes(body) + struct.pack("<I", zlib.crc32(bytes(body)))
-    path = os.fspath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
-                               prefix=os.path.basename(path) + ".")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _atomic_write(path, MODEL_MAGIC + bytes(body)
+                  + struct.pack("<I", zlib.crc32(bytes(body))))
 
 
 class _Reader:

@@ -107,16 +107,14 @@ class TestCensoredNll:
             assert math.isfinite(grad_mu_censored_nll(term))
 
     def test_saturation_warns_never_nan(self):
+        sample = CensoredSample(np.array([0.0]), np.array([1.0]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SaturationWarning):
-                censored_nll_array(np.array([0.0]), np.array([CENSORED_Z_CAP * 10.0]),
-                                   np.array([1.0]))
+                censored_nll_array(sample, np.array([CENSORED_Z_CAP * 10.0]))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            val = censored_nll_array(np.array([0.0]),
-                                     np.array([CENSORED_Z_CAP * 10.0]),
-                                     np.array([1.0]))
+            val = censored_nll_array(sample, np.array([CENSORED_Z_CAP * 10.0]))
             assert np.isfinite(val).all()
 
 
@@ -159,7 +157,8 @@ class TestGradMu:
         for r in (1e3, 1e4, 1e6, 1e8):
             z = -r
             series = -z / (1 - 1 / z**2 + 3 / z**4 - 15 / z**6)
-            got = grad_mu_censored_nll_array(0.0, r, 1.0)
+            got = grad_mu_censored_nll_array(
+                CensoredSample(np.array([0.0]), np.array([1.0])), np.array([r]))[0]
             assert got == pytest.approx(series, rel=1e-12, abs=0.0), r
 
     @settings(max_examples=500)
@@ -185,8 +184,9 @@ class TestArrayKernels:
         y = np.where(rng.random(500) < 0.4, 0.0, rng.uniform(0.01, 10, 500))
         mu = rng.uniform(-12, 12, 500)
         sigma = rng.uniform(0.1, 5, 500)
-        nll_vec = censored_nll_array(y, mu, sigma)
-        grad_vec = grad_mu_censored_nll_array(y, mu, sigma)
+        sample = CensoredSample(y, sigma)
+        nll_vec = censored_nll_array(sample, mu)
+        grad_vec = grad_mu_censored_nll_array(sample, mu)
         for i in range(500):
             term = CensoredNllTerm(y[i], mu[i], sigma[i])
             assert nll_vec[i] == pytest.approx(censored_nll(term), rel=1e-14)
@@ -198,18 +198,23 @@ class TestArrayKernels:
         st.one_of(st.floats(-1e12, 1e12), st.just(math.nan)),
         st.floats(1e-2, 1e2)), min_size=1, max_size=40))
     def test_per_sample_path_is_bit_identical(self, entries):
-        # training builds a CensoredSample once per sample and passes it to
-        # every kernel call; the result and the saturation warnings must be
-        # exactly those of the three-argument call
+        # training passes a whole sample to each kernel call; every entry must
+        # come out exactly as a one-entry call on it would, and the call must
+        # warn (once) exactly when some entry's own call warns
         y, mu, sigma = (np.array(col) for col in zip(*entries))
         sample = CensoredSample(y, sigma)
         for kernel in (censored_nll_array, grad_mu_censored_nll_array):
-            with warnings.catch_warnings(record=True) as plain:
+            with warnings.catch_warnings(record=True) as whole:
                 warnings.simplefilter("always")
-                expected = kernel(y, mu, sigma)
-            with warnings.catch_warnings(record=True) as reused:
-                warnings.simplefilter("always")
-                got = kernel(y, mu, sigma, sample=sample)
-            assert got.tobytes() == expected.tobytes()
-            assert [str(w.message) for w in reused] == [str(w.message) for w in plain]
-            assert all(w.category is SaturationWarning for w in reused)
+                got = kernel(sample, mu)
+            expected, entry_warned = [], []
+            for i in range(len(y)):
+                with warnings.catch_warnings(record=True) as one:
+                    warnings.simplefilter("always")
+                    expected.append(kernel(
+                        CensoredSample(y[i:i + 1], sigma[i:i + 1]), mu[i:i + 1]))
+                entry_warned += one
+            assert got.tobytes() == np.concatenate(expected).tobytes()
+            assert len(whole) == (1 if entry_warned else 0)
+            assert all(w.category is SaturationWarning for w in whole + entry_warned)
+            assert {str(w.message) for w in whole} == {str(w.message) for w in entry_warned}

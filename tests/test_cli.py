@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -368,6 +369,30 @@ class TestRun:
         rows = (tmp_path / "out" / "results.csv").read_text().strip().splitlines()
         assert len(rows) == 3 and all(",ok," in row for row in rows[1:])
         assert calls == [(str(fx), str(fy))]
+
+    def test_failed_artifact_write_leaves_no_temp_file(self, tmp_path, capsys):
+        # results.csv cannot replace a directory of that name: the run is an
+        # IO error, and the temp file written beside it is removed
+        path = write_config(tmp_path)
+        out = tmp_path / "out"
+        (out / "results.csv").mkdir(parents=True)
+        assert main(["run", str(path)]) == 2
+        assert "results.csv" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["results.csv"]
+        assert (out / "results.csv").is_dir()
+
+    def test_artifacts_take_the_umask_mode(self, tmp_path):
+        # artifacts go through a private temp file, but end up with the mode
+        # that a plain open() gives under the current umask
+        path = write_config(tmp_path, seeds=[0], save_models=True)
+        old = os.umask(0o027)
+        try:
+            assert main(["run", str(path)]) == 0
+        finally:
+            os.umask(old)
+        out = tmp_path / "out"
+        for artifact in (out / "results.csv", out / "models" / "seed0_f0.5_rank2.ssnw"):
+            assert stat.S_IMODE(artifact.stat().st_mode) == 0o640, artifact
 
     def test_csv_kind_requires_paths(self, tmp_path, capsys):
         path = write_config(tmp_path, data={"kind": "csv"})
