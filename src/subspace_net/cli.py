@@ -6,7 +6,8 @@
                                         batch predictions from a saved model
 
 Exit codes: 0 ok, 1 config error, 2 IO error (a missing or malformed data
-or model file), 3 numeric failure in every cell. `validate` loads the
+or model file, or a run artifact that could not be written; the other cells
+still run), 3 numeric failure in every cell. `validate` loads the
 config exactly as `run` does, so a config that validates also runs; `run`
 reads csv data once, before any cell. Cells run one after another in one
 process.

@@ -1,6 +1,10 @@
 """Planted synthetic generators, strict CSV ingestion, seeded splitting,
 and the package's file writers.
 
+Numeric CSV is read and written a row per step: a record whose cells all
+pass one whole-row check is stored as a float64 row at once, and only a
+record that fails it is walked cell by cell to name its first bad cell.
+
 All generators draw from named substreams of one seed (one substream per
 matrix), so adding a new matrix later cannot perturb earlier draws and a
 depth-1 deep instance is bit-identical to the single-layer generator.
@@ -12,6 +16,7 @@ import csv
 import math
 import os
 import tempfile
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -196,6 +201,30 @@ def _csv_records(path):
             raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc
 
 
+def _cell_values(raw, where: str, nonnegative: bool):
+    """The per-cell rules, for a record that `parse_numeric_csv`'s row check
+    did not accept: ``(values, None)``, or ``(None, problem)`` naming the
+    record's first bad cell. ``where`` is its ``path:line``."""
+    values = []
+    for col, tok in enumerate(raw, start=1):
+        tok = tok.strip()
+        if tok == "":
+            return None, f"{where}:{col}: missing cell"
+        try:
+            # float() also takes digit grouping and non-ASCII digits
+            if "_" in tok or not tok.isascii():
+                raise ValueError(tok)
+            val = float(tok)
+        except ValueError:
+            return None, f"{where}:{col}: non-numeric cell {tok!r}"
+        if not math.isfinite(val):
+            return None, f"{where}:{col}: non-finite cell {tok!r}"
+        if nonnegative and val < 0:
+            return None, f"{where}:{col}: negative target {tok!r}"
+        values.append(val)
+    return values, None
+
+
 def parse_numeric_csv(path, *, nonnegative: bool = False):
     """Read one strict CSV: header row, every cell a finite plain ASCII
     decimal number (no ``_`` digit grouping).
@@ -203,9 +232,17 @@ def parse_numeric_csv(path, *, nonnegative: bool = False):
     Returns ``(header, matrix)``; any malformed cell rejects the whole file
     with its location, and a file that is not UTF-8 text, or whose header
     row is empty, is rejected too.
+
+    Records are read one at a time and checked a row per step: a record of
+    the header's width whose cells are ASCII without ``_``, all convert
+    with ``float``, are all finite (and, with ``nonnegative``, none below
+    zero) goes straight into the float64 matrix. Any other record goes
+    through `_cell_values`, which applies the rules cell by cell and
+    reports the first bad one; it also accepts cells that only
+    ``str.strip`` clears, such as a trailing ``\\x1f``.
     """
     problems = []
-    rows = []
+    flat = array("d")
     records = _csv_records(path)
     header = next(records, None)
     if header is None:
@@ -217,34 +254,26 @@ def parse_numeric_csv(path, *, nonnegative: bool = False):
         if len(raw) != width:
             problems.append(f"{path}:{line_no}: expected {width} cells, got {len(raw)}")
             continue
-        row = np.empty(width)
-        for col, tok in enumerate(raw, start=1):
-            tok = tok.strip()
-            if tok == "":
-                problems.append(f"{path}:{line_no}:{col}: missing cell")
-                break
-            try:
-                # float() also takes digit grouping and non-ASCII digits
-                if "_" in tok or not tok.isascii():
-                    raise ValueError(tok)
-                val = float(tok)
-            except ValueError:
-                problems.append(f"{path}:{line_no}:{col}: non-numeric cell {tok!r}")
-                break
-            if not math.isfinite(val):
-                problems.append(f"{path}:{line_no}:{col}: non-finite cell {tok!r}")
-                break
-            if nonnegative and val < 0:
-                problems.append(f"{path}:{line_no}:{col}: negative target {tok!r}")
-                break
-            row[col - 1] = val
-        else:
-            rows.append(row)
+        joined = "".join(raw)
+        try:
+            if "_" in joined or not joined.isascii():
+                raise ValueError
+            row = list(map(float, raw))
+            # a non-finite value makes the sum non-finite; an overflowing
+            # sum of finite values only sends the row to the cell rules
+            if not math.isfinite(sum(row)) or (nonnegative and min(row) < 0):
+                raise ValueError
+        except ValueError:
+            row, problem = _cell_values(raw, f"{path}:{line_no}", nonnegative)
+            if problem is not None:
+                problems.append(problem)
+                continue
+        flat.extend(row)
     if problems:
         raise ParseError("rejected rows:\n" + "\n".join(problems))
-    if not rows:
+    if not flat:
         raise ParseError(f"{path}: no data rows")
-    return header, np.vstack(rows)
+    return header, np.frombuffer(flat, dtype=np.float64).reshape(-1, width)
 
 
 def load_csv(features_path, targets_path) -> Dataset:
@@ -265,11 +294,13 @@ def load_csv(features_path, targets_path) -> Dataset:
 
 
 def _write_table(path, header, matrix):
+    """Write ``header`` and the rows of ``matrix`` as CSV, each value with 17
+    significant digits. The bytes are those of `csv.writer` over
+    ``f"{v:.17g}"`` cells; each data row is one ``%`` format."""
+    line = ",".join(["%.17g"] * matrix.shape[1]) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in matrix:
-            writer.writerow([f"{v:.17g}" for v in row])
+        csv.writer(fh).writerow(header)
+        fh.writelines(line % tuple(row.tolist()) for row in matrix)
 
 
 def _atomic_write(path, blob: bytes):

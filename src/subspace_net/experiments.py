@@ -3,8 +3,9 @@ files (results.csv, summary.json, traces, model files).
 
 A run evaluates a grid of cells (seed x fraction x rank as configured) one
 after another, in sorted order. Cells are independent and write their
-artifacts atomically. A numeric failure in one cell is recorded in its
-``status`` column without aborting the sweep.
+artifacts atomically. A numeric failure in one cell, or a failed write of
+one of its artifacts, is recorded in its ``status`` column without aborting
+the sweep.
 
 Every random stream of a cell derives from the cell seed and a tag (0 the
 generator, 1 training, 2 the random coherence reference, 3 the train/valid
@@ -298,15 +299,21 @@ def _cells(cfg: ExperimentConfig) -> list[Cell]:
             for f in sorted(fractions) for r in sorted(ranks)]
 
 
-def _run_cell(cfg: ExperimentConfig, cell: Cell, csv_data: Dataset | None) -> dict:
+def _run_cell(cfg: ExperimentConfig, cell: Cell,
+              csv_data: Dataset | None) -> tuple[dict, bool]:
+    """The cell's results row, and whether writing one of its artifacts
+    failed. A numeric failure or a failed artifact write is recorded in the
+    row's ``status``."""
     start = time.perf_counter()
+    write_failed = False
     try:
         row = _RECIPES[cfg.experiment](cfg, cell, csv_data)
-    except SubspaceNetError as exc:
+    except (SubspaceNetError, OSError) as exc:
         row = _base_row(cfg, cell)
         row["status"] = f"error: {exc}"
+        write_failed = isinstance(exc, OSError)
     row["wall_clock_s"] = time.perf_counter() - start
-    return row
+    return row, write_failed
 
 
 def _write_results(path, rows: list[dict]):
@@ -358,9 +365,10 @@ def _summarize(rows: list[dict]) -> dict:
 
 def run_experiment(cfg: ExperimentConfig) -> int:
     """Execute every cell, write artifacts, and return an exit code: 0 on
-    success (even with partial cell failures), 3 if every cell failed
-    numerically. csv data is read once, before any cell or artifact: a
-    malformed file raises `ParseError` and an unreadable one `OSError`."""
+    success (even with partial cell failures), 2 if writing a cell's
+    artifact failed, 3 if every cell failed numerically. csv data is read
+    once, before any cell or artifact: a malformed file raises `ParseError`
+    and an unreadable one `OSError`."""
     d = cfg.data
     csv_data = load_csv(d.features_path, d.targets_path) if d.kind == "csv" else None
     os.makedirs(cfg.output_dir, exist_ok=True)
@@ -368,11 +376,17 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         os.makedirs(os.path.join(cfg.output_dir, "traces"), exist_ok=True)
     if cfg.save_models:
         os.makedirs(os.path.join(cfg.output_dir, "models"), exist_ok=True)
-    rows = [_run_cell(cfg, cell, csv_data) for cell in _cells(cfg)]
+    rows, write_failed = [], False
+    for cell in _cells(cfg):
+        row, failed = _run_cell(cfg, cell, csv_data)
+        rows.append(row)
+        write_failed |= failed
     _write_results(os.path.join(cfg.output_dir, "results.csv"), rows)
     _atomic_write(os.path.join(cfg.output_dir, "summary.json"),
                   (json.dumps(_summarize(rows), indent=2, sort_keys=True) + "\n")
                   .encode("utf-8"))
+    if write_failed:
+        return 2
     if all(row["status"] != "ok" for row in rows):
         return 3
     return 0

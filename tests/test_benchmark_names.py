@@ -12,9 +12,14 @@ import importlib
 import os
 import types
 
+import numpy as np
 import pytest
 
 import subspace_net
+from subspace_net import cli
+from subspace_net.data import parse_numeric_csv
+from subspace_net.layer import SubspaceLayer
+from subspace_net.network import SubspaceNetwork, save_model
 
 TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "perfbench", "tracer.py")
@@ -42,3 +47,25 @@ def test_api_entry_points_exist(tracer):
     api = tracer.Api(subspace_net)  # reads every entry point it offers
     assert set(tracer.API_SPANS) <= set(vars(api))
     assert all(callable(fn) for fn in vars(api).values())
+
+
+def test_predict_reads_features_through_the_patched_name(tmp_path, monkeypatch):
+    # the tracer times `ssn predict`'s read as data.parse_csv by wrapping
+    # cli.parse_numeric_csv; a read that bypassed that name would drop the
+    # stage from the trace unnoticed
+    net = SubspaceNetwork(layers=[SubspaceLayer(U=np.ones((2, 1)), V=np.ones((1, 3)),
+                                                sigma=np.ones(2))])
+    save_model(net, tmp_path / "model.ssnw")
+    (tmp_path / "features.csv").write_text("a,b,c\n1,2,3\n4,5,6\n")
+    calls = []
+
+    def counting_parse(*args, **kwargs):
+        calls.append(args)
+        return parse_numeric_csv(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "parse_numeric_csv", counting_parse)
+    assert cli.main(["predict", "--model", str(tmp_path / "model.ssnw"),
+                     "--features", str(tmp_path / "features.csv"),
+                     "--out", str(tmp_path / "predictions.csv")]) == 0
+    assert calls == [(str(tmp_path / "features.csv"),)]
+    assert len((tmp_path / "predictions.csv").read_text().splitlines()) == 3

@@ -1,5 +1,6 @@
 """Tests for config validation and the command-line workflows."""
 
+import csv
 import json
 import math
 import os
@@ -380,6 +381,29 @@ class TestRun:
         assert "results.csv" in capsys.readouterr().err
         assert [p.name for p in out.iterdir()] == ["results.csv"]
         assert (out / "results.csv").is_dir()
+
+    def test_failed_model_write_fails_only_its_cell(self, tmp_path):
+        # seed 0's model path is a directory, so its save fails: that cell
+        # records the error, seed 1 still runs and saves its model, the
+        # run's reports are written, and the exit code is the IO error's
+        path = write_config(
+            tmp_path, experiment="single_layer_recovery", fractions=None,
+            seeds=[0, 1], save_models=True,
+            data={"kind": "planted", "n": 100, "d": 8, "t": 4, "r": 2, "sigma": 1.0})
+        models = tmp_path / "out" / "models"
+        (models / "seed0_all_rank2.ssnw").mkdir(parents=True)
+        assert main(["run", str(path)]) == 2
+        out = tmp_path / "out"
+        with open(out / "results.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["seed"] for row in rows] == ["0", "1"]
+        assert rows[0]["status"].startswith("error: ")
+        assert "seed0_all_rank2.ssnw" in rows[0]["status"]
+        assert rows[1]["status"] == "ok"
+        assert (models / "seed1_all_rank2.ssnw").is_file()
+        assert (models / "seed0_all_rank2.ssnw").is_dir()
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["groups"]
 
     def test_artifacts_take_the_umask_mode(self, tmp_path):
         # artifacts go through a private temp file, but end up with the mode

@@ -1,14 +1,22 @@
 """Tests for planted generators, CSV ingestion, and splitting."""
 
+import csv
+import io
+import math
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from subspace_net.data import (
     Dataset,
+    _write_table,
     gen_deep,
     gen_heteroscedastic,
     gen_single_layer,
     load_csv,
+    parse_numeric_csv,
     save_csv,
     split,
 )
@@ -235,6 +243,159 @@ class TestCsvRoundTrip:
         back = load_csv(fx, fy)
         np.testing.assert_array_equal(back.X, data.X)
         np.testing.assert_array_equal(back.Y, data.Y)
+
+
+def cell_by_cell_parse(path, *, nonnegative=False):
+    """The reader as it was before the row check: every cell of every
+    record converted and checked on its own. The oracle for
+    `parse_numeric_csv`."""
+    problems = []
+    rows = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        records = csv.reader(fh)
+        header = next(records)
+        width = len(header)
+        for line_no, raw in enumerate(records, start=2):
+            if len(raw) != width:
+                problems.append(f"{path}:{line_no}: expected {width} cells, got {len(raw)}")
+                continue
+            row = np.empty(width)
+            for col, tok in enumerate(raw, start=1):
+                tok = tok.strip()
+                if tok == "":
+                    problems.append(f"{path}:{line_no}:{col}: missing cell")
+                    break
+                try:
+                    if "_" in tok or not tok.isascii():
+                        raise ValueError(tok)
+                    val = float(tok)
+                except ValueError:
+                    problems.append(f"{path}:{line_no}:{col}: non-numeric cell {tok!r}")
+                    break
+                if not math.isfinite(val):
+                    problems.append(f"{path}:{line_no}:{col}: non-finite cell {tok!r}")
+                    break
+                if nonnegative and val < 0:
+                    problems.append(f"{path}:{line_no}:{col}: negative target {tok!r}")
+                    break
+                row[col - 1] = val
+            else:
+                rows.append(row)
+    if problems:
+        raise ParseError("rejected rows:\n" + "\n".join(problems))
+    if not rows:
+        raise ParseError(f"{path}: no data rows")
+    return header, np.vstack(rows)
+
+
+# odd cells reach every rule of the reader: "1e308" pairs overflow a row sum
+# of finite values, and "\x1c"-"\x1f" are stripped by str.strip but not by
+# float()
+ODD_CORES = ["-0", "1e308", "-1e308", "5e-324", "1_0", "1_000.5",
+             "\u0661\u0662", "\uff11", "nan", "-inf", "Infinity", "1e309", "",
+             "x", "0x10", "1e", "."]
+PADDING = ["", " ", "\t", "\x1c", "\x1d", "\x1e", "\x1f", "\xa0", "\u2003"]
+plain_cells = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(min_value=0.0, allow_infinity=False).map(repr),
+    st.integers(-10**20, 10**20).map(str))
+odd_cells = st.one_of(
+    st.sampled_from(ODD_CORES),
+    st.tuples(st.sampled_from(PADDING), st.sampled_from(ODD_CORES),
+              st.sampled_from(PADDING)).map("".join))
+
+
+@st.composite
+def numeric_tables(draw):
+    """A header of 1-4 columns and up to 6 records of plain decimals, some
+    of the wrong width, with up to two odd cells dropped into each."""
+    width = draw(st.integers(1, 4))
+    records = []
+    for _ in range(draw(st.integers(0, 6))):
+        size = draw(st.sampled_from([width, width, width, width - 1, width + 1]))
+        record = draw(st.lists(plain_cells, min_size=size, max_size=size))
+        for _ in range(draw(st.integers(0, 2)) if record else 0):
+            record[draw(st.integers(0, size - 1))] = draw(odd_cells)
+        records.append(record)
+    return width, records
+
+
+class TestRowCheckMatchesCellRules:
+    @settings(max_examples=400,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(table=numeric_tables(), nonnegative=st.booleans())
+    def test_same_matrix_or_same_message(self, tmp_path, table, nonnegative):
+        width, records = table
+        path = tmp_path / "table.csv"
+        lines = [",".join(f"c{j}" for j in range(width))]
+        lines += [",".join(record) for record in records]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        try:
+            expected = cell_by_cell_parse(path, nonnegative=nonnegative)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as excinfo:
+                parse_numeric_csv(path, nonnegative=nonnegative)
+            assert str(excinfo.value) == str(exc)
+            return
+        header, matrix = parse_numeric_csv(path, nonnegative=nonnegative)
+        assert header == expected[0]
+        assert matrix.dtype == np.float64
+        assert matrix.shape == expected[1].shape
+        assert matrix.tobytes() == expected[1].tobytes()
+
+    def test_control_separator_padding_loads(self, tmp_path):
+        # float() rejects "1\x1f"; the cell rules strip it first
+        path = tmp_path / "table.csv"
+        path.write_text("a,b\n1\x1f,\x1c2\n", encoding="utf-8")
+        _, matrix = parse_numeric_csv(path)
+        assert matrix.tolist() == [[1.0, 2.0]]
+
+    def test_overflowing_row_sum_loads(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text("a,b\n1e308,1e308\n")
+        _, matrix = parse_numeric_csv(path, nonnegative=True)
+        assert matrix.tolist() == [[1e308, 1e308]]
+
+
+# the values whose 17-digit form is easiest to get wrong
+EDGE_VALUES = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e300, 0.1,
+               1.0, 3.0, 12345678901234567.0, -7.0, 1.0 / 3.0]
+
+
+class TestWriteTable:
+    @staticmethod
+    def reference_bytes(header, matrix):
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(header)
+        for row in matrix:
+            writer.writerow([f"{v:.17g}" for v in row])
+        return buf.getvalue().encode("utf-8")
+
+    @pytest.mark.parametrize("shape", [(12, 1), (4, 3), (1, 12), (3, 4)])
+    def test_bytes_match_csv_writer(self, tmp_path, shape):
+        matrix = np.array(EDGE_VALUES).reshape(shape)
+        header = [f"h{j}" for j in range(shape[1])]
+        _write_table(tmp_path / "t.csv", header, matrix)
+        assert (tmp_path / "t.csv").read_bytes() == self.reference_bytes(header, matrix)
+
+    def test_header_is_quoted_by_csv_writer(self, tmp_path):
+        header = ["a,b", 'say "hi"']
+        matrix = np.array([[1.0, 2.0]])
+        _write_table(tmp_path / "t.csv", header, matrix)
+        assert (tmp_path / "t.csv").read_bytes() == self.reference_bytes(header, matrix)
+
+    def test_edge_values_round_trip_bitwise(self, tmp_path):
+        x = np.array(EDGE_VALUES).reshape(3, 4)
+        y = np.abs(x)
+        y[0, 1] = -0.0  # a nonnegative target with its sign bit set
+        data = Dataset(X=x, Y=y)
+        fx = tmp_path / "x.csv"
+        fy = tmp_path / "y.csv"
+        save_csv(data, fx, fy)
+        back = load_csv(fx, fy)
+        assert back.X.tobytes() == x.tobytes()
+        assert back.Y.tobytes() == y.tobytes()
 
 
 class TestDatasetInvariants:
