@@ -26,12 +26,19 @@ inputs and are the reference surface; the ``*_array`` variants are the
 vectorized fast path used by training loops and assume validated inputs.
 Both share one implementation.
 
-What a sample's targets and noise scales fix is computed once per sample as
-a `CensoredSample`: the indices of the censored entries, their ``sigma``,
-``sigma*sigma`` and ``log(sigma)``. The array kernels take it with the
-predictors, so each of the sample's kernel calls evaluates the uncensored
-formula on all entries, then ``log_ndtr``/``erfcx`` and the cap test on the
-censored entries only, written in place.
+What the noise scales fix is computed once per layer as `NoiseTerms`:
+``log(sigma)``, ``1/sigma^2`` and the Mills-ratio scale
+``sqrt(2/pi)/sigma``. What a sample's targets fix is computed once per
+sample as a `CensoredSample`: the indices of its censored entries and two
+gathers at them, ``sigma`` and the Mills-ratio scale. Each kernel call then
+evaluates the uncensored formula on all entries, and the cap test and
+``log_ndtr``/``erfcx`` on the censored entries only, in place. The
+censored-branch arguments ``mu/sigma`` and ``(mu/sigma)/sqrt 2`` are
+rounded exactly as written above: in the tail both branches are
+ill-conditioned (a relative change d in ``mu/sigma`` moves the gradient by
+about ``(mu/sigma)^2 d``), so another rounding of the argument, such as one
+multiply by a precomputed ``1/(sigma sqrt 2)``, would move the result by
+far more than one rounding.
 """
 
 from __future__ import annotations
@@ -53,6 +60,7 @@ _SQRT_2 = math.sqrt(2.0)
 # statistically meaningful value; it only exists so that absurd inputs
 # saturate with a warning instead of overflowing to inf/NaN.
 CENSORED_Z_CAP = 1e8
+_CAP_SQ = CENSORED_Z_CAP * CENSORED_Z_CAP  # 1e16, exact in float64
 
 # ``log Phi(z)``: the routine the censored kernels use.
 log_std_normal_cdf = log_ndtr
@@ -78,33 +86,51 @@ class CensoredNllTerm:
             raise InvalidArgumentError(f"y must be nonnegative, got {self.y}")
 
 
-class CensoredSample:
-    """What the 1-D float64 targets ``y`` and noise scales ``sigma`` of one
-    sample fix for every kernel call on it (see the module docstring)."""
+class NoiseTerms:
+    """What the 1-D float64 noise scales ``sigma`` (positive) fix for every
+    kernel call that uses them; a layer computes it once for all of its
+    samples (see the module docstring)."""
 
-    __slots__ = ("y", "sigma", "sigma_sq", "log_sigma", "censored",
-                 "sigma_censored")
+    __slots__ = ("sigma", "log_sigma", "inv_var", "mills_scale")
 
-    def __init__(self, y, sigma):
-        self.y = y
+    def __init__(self, sigma):
         self.sigma = sigma
-        self.sigma_sq = sigma * sigma
         self.log_sigma = np.log(sigma)
-        self.censored = np.flatnonzero(y <= 0.0)
-        self.sigma_censored = sigma[self.censored]
+        self.inv_var = 1.0 / (sigma * sigma)
+        self.mills_scale = _SQRT_2_OVER_PI / sigma
 
 
-def _censored_ratio(mu, sigma):
-    """``mu/sigma`` of the censored entries, i.e. ``-z`` for the
-    censored-branch argument z, clamped to the cap with a warning."""
-    ratio = mu / sigma
-    # a NaN entry compares false, so it cannot hide another entry beyond the cap
-    if np.count_nonzero(np.abs(ratio) > CENSORED_Z_CAP):
+class CensoredSample:
+    """What the 1-D float64 targets ``y`` of one sample fix for every kernel
+    call on it, with its noise scales: a `NoiseTerms`, or the ``sigma``
+    array to build one from."""
+
+    __slots__ = ("y", "noise", "censored", "sigma_censored", "mills_censored")
+
+    def __init__(self, y, noise):
+        if not isinstance(noise, NoiseTerms):
+            noise = NoiseTerms(noise)
+        self.y = y
+        self.noise = noise
+        self.censored = (y <= 0.0).nonzero()[0]
+        self.sigma_censored = noise.sigma[self.censored]
+        self.mills_censored = noise.mills_scale[self.censored]
+
+
+def _cap_censored_ratio(ratio):
+    """Clamp ``ratio``, the ``mu/sigma`` of the censored entries (i.e.
+    ``-z`` for the censored-branch argument z), to the cap in place, with a
+    warning when some entry exceeds it."""
+    # A rounded sum of squares is at least its largest rounded term, so one
+    # dot product clears the common case. A NaN fails the comparison and
+    # takes the entrywise test, where it compares false, so it cannot hide
+    # another entry beyond the cap.
+    if (not np.dot(ratio, ratio) <= _CAP_SQ
+            and np.count_nonzero(np.abs(ratio) > CENSORED_Z_CAP)):
         warnings.warn(
             "censored-branch argument |mu/sigma| exceeded "
             f"{CENSORED_Z_CAP:g}; saturating", SaturationWarning, stacklevel=3)
-        ratio = np.clip(ratio, -CENSORED_Z_CAP, CENSORED_Z_CAP)
-    return ratio
+        np.clip(ratio, -CENSORED_Z_CAP, CENSORED_Z_CAP, out=ratio)
 
 
 def censored_nll_array(sample: CensoredSample, mu) -> np.ndarray:
@@ -114,11 +140,20 @@ def censored_nll_array(sample: CensoredSample, mu) -> np.ndarray:
     Entries with ``y <= 0`` use the censored branch. The sample is assumed
     validated (sigma > 0, y >= 0).
     """
-    resid = (sample.y - mu) / sample.sigma
-    out = 0.5 * resid * resid + sample.log_sigma + LOG_SQRT_2PI
+    out = np.subtract(sample.y, mu)
+    out /= sample.noise.sigma
     idx = sample.censored
     if idx.size:
-        out[idx] = -log_ndtr(-_censored_ratio(mu[idx], sample.sigma_censored))
+        # y = 0 there, so the residual is exactly z = -mu/sigma
+        z = out[idx]
+        _cap_censored_ratio(z)
+        log_ndtr(z, out=z)
+        np.negative(z, out=z)
+    out *= 0.5 * out
+    out += sample.noise.log_sigma
+    out += LOG_SQRT_2PI
+    if idx.size:
+        out[idx] = z
     return out
 
 
@@ -130,11 +165,17 @@ def grad_mu_censored_nll_array(sample: CensoredSample, mu) -> np.ndarray:
     inverse Mills ratio ``pdf(z) / (sigma * Phi(z))`` with ``z = -mu/sigma``,
     evaluated through ``erfcx`` so the ratio survives deep tails.
     """
-    out = -(sample.y - mu) / sample.sigma_sq
+    out = np.subtract(mu, sample.y)
+    out *= sample.noise.inv_var
     idx = sample.censored
     if idx.size:
-        ratio = _censored_ratio(mu[idx], sample.sigma_censored)
-        out[idx] = _SQRT_2_OVER_PI / (sample.sigma_censored * erfcx(ratio / _SQRT_2))
+        ratio = mu[idx]
+        ratio /= sample.sigma_censored
+        _cap_censored_ratio(ratio)
+        ratio /= _SQRT_2
+        erfcx(ratio, out=ratio)
+        np.divide(sample.mills_censored, ratio, out=ratio)
+        out[idx] = ratio
     return out
 
 

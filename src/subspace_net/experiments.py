@@ -156,13 +156,12 @@ def _cell_paths(cfg: ExperimentConfig, cell: Cell):
 
 
 def _setup(cfg: ExperimentConfig, cell: Cell, csv_data: Dataset | None):
-    """The preamble of every recipe: the cell's base row, the planted truth
-    (None for csv data), the training and validation data (the full dataset
-    and None unless the cell has a train fraction), the training config and
-    the likelihood noise scale. Both of the last scale with the target RMS
-    of the training data where the config asks for it. ``csv_data`` is the
-    run's loaded csv dataset, or None to draw the cell's planted data."""
-    row = _base_row(cfg, cell)
+    """The preamble of every recipe: the planted truth (None for csv data),
+    the training and validation data (the full dataset and None unless the
+    cell has a train fraction), the training config and the likelihood noise
+    scale. Both of the last scale with the target RMS of the training data
+    where the config asks for it. ``csv_data`` is the run's loaded csv
+    dataset, or None to draw the cell's planted data."""
     data, truth = ((csv_data, None) if csv_data is not None
                    else _make_data(cfg, _sub_seed(cell.seed, 0)))
     train, valid = data, None
@@ -170,7 +169,7 @@ def _setup(cfg: ExperimentConfig, cell: Cell, csv_data: Dataset | None):
         train, valid = split(data, cell.fraction, seed=_sub_seed(cell.seed, 3))
     target_rms = float(np.sqrt(np.mean(train.Y ** 2)))
     tc = _train_config(cfg, cell.rank, _sub_seed(cell.seed, 1), target_rms)
-    return row, truth, train, valid, tc, _resolve_sigma(cfg, truth, target_rms)
+    return truth, train, valid, tc, _resolve_sigma(cfg, truth, target_rms)
 
 
 def _expand(cfg: ExperimentConfig, train, tc: TrainConfig, sigma, **overrides):
@@ -181,8 +180,8 @@ def _expand(cfg: ExperimentConfig, train, tc: TrainConfig, sigma, **overrides):
     return expand(train, cfg.depth, tc, **{**settings, **overrides})
 
 
-def _run_single_layer_recovery(cfg: ExperimentConfig, cell: Cell, csv_data) -> dict:
-    row, truth, data, _, tc, sigma = _setup(cfg, cell, csv_data)
+def _run_single_layer_recovery(cfg: ExperimentConfig, cell: Cell, csv_data, row: dict):
+    truth, data, _, tc, sigma = _setup(cfg, cell, csv_data)
     probe = truth.us[0] if (truth is not None and cell.rank == cfg.data.r) else None
     layer, trace = train_layer(data, tc, probe=probe, sigma=sigma)
     row["samples_seen"] = trace.samples_seen
@@ -205,11 +204,10 @@ def _run_single_layer_recovery(cfg: ExperimentConfig, cell: Cell, csv_data) -> d
     if cfg.save_models:
         net = SubspaceNetwork(layers=[layer], skip_mode=cfg.skip_mode)
         save_model(net, model_path)
-    return row
 
 
-def _run_deep_recovery(cfg: ExperimentConfig, cell: Cell, csv_data) -> dict:
-    row, truth, data, _, tc, sigma = _setup(cfg, cell, csv_data)
+def _run_deep_recovery(cfg: ExperimentConfig, cell: Cell, csv_data, row: dict):
+    truth, data, _, tc, sigma = _setup(cfg, cell, csv_data)
     net, traces = _expand(cfg, data, tc, sigma)
     row["trained_depth"] = net.depth
     if truth is not None:
@@ -229,7 +227,6 @@ def _run_deep_recovery(cfg: ExperimentConfig, cell: Cell, csv_data) -> dict:
                           _trace_csv(trace, None).encode("utf-8"))
     if cfg.save_models:
         save_model(net, model_path)
-    return row
 
 
 def _anmse_curve(net, valid, depth: int) -> list[float]:
@@ -237,8 +234,8 @@ def _anmse_curve(net, valid, depth: int) -> list[float]:
             for k in range(1, depth + 1)]
 
 
-def _run_depth_sweep(cfg: ExperimentConfig, cell: Cell, csv_data) -> dict:
-    row, _, train, valid, tc, sigma = _setup(cfg, cell, csv_data)
+def _run_depth_sweep(cfg: ExperimentConfig, cell: Cell, csv_data, row: dict):
+    _, train, valid, tc, sigma = _setup(cfg, cell, csv_data)
     net, traces = _expand(cfg, train, tc, sigma)
     row["trained_depth"] = net.depth
     row["samples_seen"] = traces[0].samples_seen
@@ -253,11 +250,10 @@ def _run_depth_sweep(cfg: ExperimentConfig, cell: Cell, csv_data) -> dict:
     _, model_path = _cell_paths(cfg, cell)
     if cfg.save_models:
         save_model(net, model_path)
-    return row
 
 
-def _run_calibration_study(cfg: ExperimentConfig, cell: Cell, csv_data) -> dict:
-    row, truth, train, valid, tc, sigma = _setup(cfg, cell, csv_data)
+def _run_calibration_study(cfg: ExperimentConfig, cell: Cell, csv_data, row: dict):
+    truth, train, valid, tc, sigma = _setup(cfg, cell, csv_data)
     nets = {calibrate: _expand(cfg, train, tc, sigma, calibrate=calibrate,
                                stop_on_degrade=False)[0]
             for calibrate in (False, True)}
@@ -276,9 +272,9 @@ def _run_calibration_study(cfg: ExperimentConfig, cell: Cell, csv_data) -> dict:
                         * (truth.sigma[a] - truth.sigma[b])) > 0:
                     agree += 1
         row["sigma_rank_agreement"] = agree / total if total else 1.0
-    return row
 
 
+# Each recipe fills the cell's results row in place as it computes it.
 _RECIPES = {
     "single_layer_recovery": _run_single_layer_recovery,
     "deep_recovery": _run_deep_recovery,
@@ -300,20 +296,21 @@ def _cells(cfg: ExperimentConfig) -> list[Cell]:
 
 
 def _run_cell(cfg: ExperimentConfig, cell: Cell,
-              csv_data: Dataset | None) -> tuple[dict, bool]:
-    """The cell's results row, and whether writing one of its artifacts
-    failed. A numeric failure or a failed artifact write is recorded in the
-    row's ``status``."""
+              csv_data: Dataset | None) -> tuple[dict, OSError | None]:
+    """The cell's results row, and the error of a failed write of one of its
+    artifacts, if any. The recipe fills the row as it goes; a numeric
+    failure or a failed artifact write keeps the columns filled before it
+    and is recorded in the row's ``status``."""
     start = time.perf_counter()
-    write_failed = False
+    row, write_error = _base_row(cfg, cell), None
     try:
-        row = _RECIPES[cfg.experiment](cfg, cell, csv_data)
+        _RECIPES[cfg.experiment](cfg, cell, csv_data, row)
     except (SubspaceNetError, OSError) as exc:
-        row = _base_row(cfg, cell)
         row["status"] = f"error: {exc}"
-        write_failed = isinstance(exc, OSError)
+        if isinstance(exc, OSError):
+            write_error = exc
     row["wall_clock_s"] = time.perf_counter() - start
-    return row, write_failed
+    return row, write_error
 
 
 def _write_results(path, rows: list[dict]):
@@ -365,10 +362,11 @@ def _summarize(rows: list[dict]) -> dict:
 
 def run_experiment(cfg: ExperimentConfig) -> int:
     """Execute every cell, write artifacts, and return an exit code: 0 on
-    success (even with partial cell failures), 2 if writing a cell's
-    artifact failed, 3 if every cell failed numerically. csv data is read
-    once, before any cell or artifact: a malformed file raises `ParseError`
-    and an unreadable one `OSError`."""
+    success (even with partial cell failures), 3 if every cell failed
+    numerically. csv data is read once, before any cell or artifact: a
+    malformed file raises `ParseError` and an unreadable one `OSError`. A
+    failed write of a cell's artifact fails only that cell; once every cell
+    ran and the reports are written, the first such error is raised."""
     d = cfg.data
     csv_data = load_csv(d.features_path, d.targets_path) if d.kind == "csv" else None
     os.makedirs(cfg.output_dir, exist_ok=True)
@@ -376,17 +374,17 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         os.makedirs(os.path.join(cfg.output_dir, "traces"), exist_ok=True)
     if cfg.save_models:
         os.makedirs(os.path.join(cfg.output_dir, "models"), exist_ok=True)
-    rows, write_failed = [], False
+    rows, first_write_error = [], None
     for cell in _cells(cfg):
-        row, failed = _run_cell(cfg, cell, csv_data)
+        row, write_error = _run_cell(cfg, cell, csv_data)
         rows.append(row)
-        write_failed |= failed
+        first_write_error = first_write_error or write_error
     _write_results(os.path.join(cfg.output_dir, "results.csv"), rows)
     _atomic_write(os.path.join(cfg.output_dir, "summary.json"),
                   (json.dumps(_summarize(rows), indent=2, sort_keys=True) + "\n")
                   .encode("utf-8"))
-    if write_failed:
-        return 2
+    if first_write_error is not None:
+        raise first_write_error
     if all(row["status"] != "ok" for row in rows):
         return 3
     return 0

@@ -6,14 +6,17 @@ streams the data once: for each sample, ``V`` takes one or more gradient
 steps in the current basis (sketching), then every row of ``U`` takes one
 gradient step against the fresh sketch (refinement). Each sketch step
 shrinks ``V`` and adds a rank-one term along x, so between steps only the
-length-R vector ``V x`` changes: the inner steps run on it, and ``V`` itself
-is updated once per sample. Row refinements are independent across tasks
-and read the same sketch, so they vectorize into a single rank-one update.
+prediction ``U V x`` changes: the inner steps update it in place and keep
+each step's length-R coefficient ``g``, and ``V`` and ``V x`` are formed
+once per sample from the weighted sum of the ``g``s. Row refinements are
+independent across tasks and read the same sketch, so they vectorize into
+a single rank-one update.
 
-Work a sample fixes is done once for it: one `CensoredSample` (censored
-entries and noise-scale terms) serves all of its kernel calls, and the
-products ``V x`` and ``U V x`` formed for its cost start the sketch loop,
-whose final pair the refinement reads. Each sample makes one NLL call and
+Work is done once at the level that fixes it. Per layer: the `NoiseTerms`
+of the noise scales and ``x.x`` for every input (one ``einsum``). Per
+sample: one `CensoredSample` (its censored entries and two gathers of noise
+terms) serves all of its kernel calls, and the ``U V x`` formed for its
+cost starts the sketch loop. Each sample makes one NLL call and
 ``v_inner_steps + 1`` gradient calls; the kernels are looked up as module
 globals at call time.
 """
@@ -27,6 +30,7 @@ import numpy as np
 
 from .censored import (
     CensoredSample,
+    NoiseTerms,
     censored_nll_array,
     grad_mu_censored_nll_array,
 )
@@ -157,8 +161,8 @@ def _check_vector(v, length, name):
 
 def _cost(lin, sample, u, v, lam) -> float:
     """Cost of one sample whose linear predictor ``U V x`` is ``lin``."""
-    nll = float(np.sum(censored_nll_array(sample, lin)))
-    return nll + 0.5 * lam * (float(np.sum(u * u)) + float(np.sum(v * v)))
+    nll = float(censored_nll_array(sample, lin).sum())
+    return nll + 0.5 * lam * (float(np.vdot(u, u)) + float(np.vdot(v, v)))
 
 
 def _check_target(y, length, name):
@@ -177,29 +181,31 @@ def instantaneous_cost(x, y, layer: SubspaceLayer) -> float:
     return _cost(lin, CensoredSample(y, layer.sigma), layer.U, layer.V, layer.lam)
 
 
-def _sketch_step(x, vx, lin, sample, u, v, lam, eta, steps):
+def _sketch_step(x, xx, lin, sample, u, v, lam, eta, steps):
     """``steps`` gradient steps of size ``eta`` on the sketch V for sample
-    ``x``, warm-started from ``v``, where ``vx = V x`` and ``lin = U vx``.
+    ``x`` (with ``xx = x.x``), warm-started from ``v``, where ``lin = U V x``.
 
-    A step maps V to ``(1 - eta*lam) V - g x^T`` with the length-R vector
-    ``g = eta U^T grad``, where ``grad`` depends on V only through ``V x``.
-    So the loop carries ``V x`` and the accumulated ``g`` terms, and V is
-    formed once: ``shrink**steps * V - acc x^T``. Each step still makes one
-    gradient-kernel call. Returns the new V with its ``V x`` and ``U V x``,
-    which the refinement reads; ``vx`` is updated in place.
+    A step maps V to ``shrink V - g x^T`` with ``shrink = 1 - eta*lam`` and
+    the length-R vector ``g = eta U^T grad``, where ``grad`` depends on V
+    only through ``U V x``. So the loop carries ``lin``, updated in place as
+    ``shrink lin - xx U g``, and keeps the ``g`` of each step; V is formed
+    once as ``shrink**steps V - acc x^T`` with
+    ``acc = sum_j shrink**(steps-1-j) g_j``. Each step makes one
+    gradient-kernel call. Returns the new V with its ``V x`` and
+    ``U V x``, which the refinement reads.
     """
     shrink = 1.0 - eta * lam
-    xx = x @ x
     eta_ut = eta * u.T
-    acc = np.zeros(v.shape[0])
-    for _ in range(steps):
-        g = eta_ut @ grad_mu_censored_nll_array(sample, lin)
-        vx *= shrink
-        vx -= xx * g
-        acc *= shrink
-        acc += g
-        lin = u @ vx
-    return shrink ** steps * v - np.outer(acc, x), vx, lin
+    xx_u = xx * u
+    gs = np.empty((steps, u.shape[1]))
+    for g in gs:  # np.dot: less per-call work than @ on small operands
+        np.dot(eta_ut, grad_mu_censored_nll_array(sample, lin), out=g)
+        lin *= shrink
+        lin -= np.dot(xx_u, g)
+    acc = np.dot(shrink ** np.arange(steps - 1, -1, -1.0), gs)
+    v_new = shrink ** steps * v
+    v_new -= acc[:, None] * x
+    return v_new, v_new @ x, lin
 
 
 def _refine_step(vx, lin, sample, u, lam, mu):
@@ -207,7 +213,9 @@ def _refine_step(vx, lin, sample, u, lam, mu):
     the sketch V, where ``vx = V x`` and ``lin = U vx``; rows are
     independent, so this is one rank-one update."""
     coeff = grad_mu_censored_nll_array(sample, lin)
-    return u - mu * (lam * u + np.outer(coeff, vx))
+    u_new = (1.0 - mu * lam) * u
+    u_new -= (mu * coeff)[:, None] * vx
+    return u_new
 
 
 def sketch_v(x, y, layer: SubspaceLayer, cfg: TrainConfig) -> np.ndarray:
@@ -217,9 +225,9 @@ def sketch_v(x, y, layer: SubspaceLayer, cfg: TrainConfig) -> np.ndarray:
     """
     x = _check_vector(x, layer.d_in, "x")
     y = _check_target(y, layer.t_out, "y")
-    vx = layer.V @ x
-    v, _, _ = _sketch_step(x, vx, layer.U @ vx, CensoredSample(y, layer.sigma),
-                           layer.U, layer.V, layer.lam, cfg.eta, cfg.v_inner_steps)
+    v, _, _ = _sketch_step(x, x @ x, layer.U @ (layer.V @ x),
+                           CensoredSample(y, layer.sigma), layer.U, layer.V,
+                           layer.lam, cfg.eta, cfg.v_inner_steps)
     if not np.isfinite(v).all():
         raise StepSizeError("sketch update diverged", iteration=0)
     return v
@@ -294,6 +302,8 @@ def train_layer(data: Dataset, cfg: TrainConfig, probe: np.ndarray | None = None
             raise DimensionError(
                 f"probe must have shape ({t}, {cfg.rank}), got {probe.shape}")
 
+    noise = NoiseTerms(sigma_vec)
+    xx = np.einsum("ij,ij->i", data.X, data.X)
     rng = np.random.default_rng(cfg.seed)
     u = rng.normal(0.0, cfg.init_scale / math.sqrt(cfg.rank), size=(t, cfg.rank))
     v = rng.normal(0.0, cfg.init_scale / math.sqrt(d), size=(cfg.rank, d))
@@ -306,15 +316,14 @@ def train_layer(data: Dataset, cfg: TrainConfig, probe: np.ndarray | None = None
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n):
             x = data.X[i]
-            sample = CensoredSample(data.Y[i], sigma_vec)
-            vx = v @ x
-            lin = u @ vx
+            sample = CensoredSample(data.Y[i], noise)
+            lin = u @ (v @ x)
             costs[i] = _cost(lin, sample, u, v, cfg.lam)
             scale = _step_scale(cfg, i)
             eta_i = cfg.eta * scale
             mu_i = cfg.mu * scale
 
-            v_new, vx, lin = _sketch_step(x, vx, lin, sample, u, v, cfg.lam,
+            v_new, vx, lin = _sketch_step(x, xx[i], lin, sample, u, v, cfg.lam,
                                           eta_i, cfg.v_inner_steps)
             if not np.isfinite(v_new).all():
                 raise StepSizeError(
@@ -329,7 +338,8 @@ def train_layer(data: Dataset, cfg: TrainConfig, probe: np.ndarray | None = None
                     f"basis update diverged at sample {i}", iteration=i,
                     last_state=(u, v),
                     trace=_finish(costs, du_norms, sub, sub_raw, i))
-            du_norms[i] = np.linalg.norm(u_new - u)
+            du = u_new - u
+            du_norms[i] = math.sqrt(np.vdot(du, du))
             u = u_new
 
             if probe is not None:

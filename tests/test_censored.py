@@ -2,7 +2,8 @@
 
 Expected values are produced by independent oracles: composite Simpson
 quadrature of the density for tail probabilities, bisection for quantiles,
-and central finite differences for gradients.
+central finite differences for gradients, and the entry formulas written
+out directly, with no precomputed noise terms, for the fast kernels.
 """
 
 import math
@@ -12,11 +13,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.special import erfcx, log_ndtr
 
 from subspace_net.censored import (
     CENSORED_Z_CAP,
+    LOG_SQRT_2PI,
     CensoredNllTerm,
     CensoredSample,
+    NoiseTerms,
     censored_nll,
     censored_nll_array,
     grad_mu_censored_nll,
@@ -218,3 +222,96 @@ class TestArrayKernels:
             assert len(whole) == (1 if entry_warned else 0)
             assert all(w.category is SaturationWarning for w in whole + entry_warned)
             assert {str(w.message) for w in whole} == {str(w.message) for w in entry_warned}
+
+
+def reference_ratio(mu, sigma):
+    """``mu/sigma`` clamped to the cap, and whether some entry exceeded it."""
+    ratio = mu / sigma
+    exceeded = bool(np.count_nonzero(np.abs(ratio) > CENSORED_Z_CAP))
+    return np.clip(ratio, -CENSORED_Z_CAP, CENSORED_Z_CAP), exceeded
+
+
+def reference_nll(y, mu, sigma):
+    """The censored NLL written entry formula by entry formula: a fresh
+    array per operation, noise terms computed on the spot."""
+    resid = (y - mu) / sigma
+    out = 0.5 * resid * resid + np.log(sigma) + LOG_SQRT_2PI
+    c = y <= 0
+    ratio, exceeded = reference_ratio(mu[c], sigma[c])
+    out[c] = -log_ndtr(-ratio)
+    return out, exceeded
+
+
+def reference_grad(y, mu, sigma):
+    """d(reference_nll)/d(mu), written the same way."""
+    out = -(y - mu) / (sigma * sigma)
+    c = y <= 0
+    ratio, exceeded = reference_ratio(mu[c], sigma[c])
+    out[c] = math.sqrt(2.0 / math.pi) / (sigma[c] * erfcx(ratio / math.sqrt(2.0)))
+    return out, exceeded
+
+
+# a predictor: a plain value, NaN, or a multiple of its entry's sigma, which
+# reaches the ill-conditioned tail of the censored branch and both sides of
+# the cap
+_MU = st.one_of(
+    st.floats(-1e12, 1e12),
+    st.just(math.nan),
+    st.tuples(st.just("ratio"), st.floats(-40.0, 40.0)),
+    st.tuples(st.just("ratio"), st.sampled_from(
+        [s * CENSORED_Z_CAP * f for s in (-1.0, 1.0) for f in (1 - 1e-12, 1 + 1e-12)])))
+
+
+_TINY = np.finfo(np.float64).tiny
+
+
+class TestAgainstReferenceFormulas:
+    @settings(max_examples=400)
+    @given(st.lists(st.tuples(
+        st.one_of(st.just(0.0), st.floats(1e-3, 1e3)), _MU, st.floats(1e-2, 1e2)),
+        min_size=1, max_size=40))
+    def test_kernels_match_reference(self, entries):
+        y = np.array([e[0] for e in entries])
+        sigma = np.array([e[2] for e in entries])
+        mu = np.array([m[1] * s if isinstance(m, tuple) else m
+                       for (_, m, s) in entries])
+        # one noise-terms object shared by the sample, as in training
+        sample = CensoredSample(y, NoiseTerms(sigma))
+        for kernel, reference in ((censored_nll_array, reference_nll),
+                                  (grad_mu_censored_nll_array, reference_grad)):
+            with np.errstate(all="ignore"):  # sigma*erfcx may overflow
+                expected, exceeded = reference(y, mu, sigma)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = kernel(sample, mu)
+            # relative agreement means nothing below the smallest normal
+            # number; there the kernel's sqrt(2/pi)/sigma over erfcx keeps a
+            # subnormal gradient that sigma*erfcx overflows to 0 above
+            np.testing.assert_allclose(got, expected, rtol=1e-14, atol=_TINY)
+            assert [w.category for w in caught] == (
+                [SaturationWarning] if exceeded else [])
+
+    @pytest.mark.parametrize("kernel", [censored_nll_array, grad_mu_censored_nll_array])
+    @pytest.mark.parametrize("factor,warns", [(1 - 1e-12, False), (1 + 1e-12, True)])
+    def test_warns_exactly_beyond_the_cap(self, kernel, factor, warns):
+        sigma = np.array([0.5, 3.0, 70.0, 2.0])
+        y = np.array([0.0, 0.0, 1.0, 0.0])
+        for sign in (-1.0, 1.0):
+            # the uncensored entry is far beyond the cap: only censored ones count
+            mu = sigma * CENSORED_Z_CAP * np.array([0.5, sign * factor, 9.0, math.nan])
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                kernel(CensoredSample(y, sigma), mu)
+            assert [w.category for w in caught] == ([SaturationWarning] if warns else [])
+
+    def test_one_construction_path(self):
+        # the scalar ops, the public ops and training all build the sample
+        # through CensoredSample; a sigma array and its noise terms agree
+        y = np.array([0.0, 2.0, 0.0])
+        sigma = np.array([0.3, 1.0, 4.0])
+        mu = np.array([0.7, -1.0, -30.0])
+        from_array = CensoredSample(y, sigma)
+        from_terms = CensoredSample(y, NoiseTerms(sigma))
+        for kernel in (censored_nll_array, grad_mu_censored_nll_array):
+            assert kernel(from_array, mu).tobytes() == kernel(from_terms, mu).tobytes()
+        np.testing.assert_array_equal(from_array.censored, [0, 2])

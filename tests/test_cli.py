@@ -382,10 +382,11 @@ class TestRun:
         assert [p.name for p in out.iterdir()] == ["results.csv"]
         assert (out / "results.csv").is_dir()
 
-    def test_failed_model_write_fails_only_its_cell(self, tmp_path):
+    def test_failed_model_write_fails_only_its_cell(self, tmp_path, capsys):
         # seed 0's model path is a directory, so its save fails: that cell
-        # records the error, seed 1 still runs and saves its model, the
-        # run's reports are written, and the exit code is the IO error's
+        # records the error beside the metrics it computed before the save,
+        # seed 1 still runs and saves its model, the run's reports are
+        # written, and the exit code and message are the IO error's
         path = write_config(
             tmp_path, experiment="single_layer_recovery", fractions=None,
             seeds=[0, 1], save_models=True,
@@ -393,17 +394,44 @@ class TestRun:
         models = tmp_path / "out" / "models"
         (models / "seed0_all_rank2.ssnw").mkdir(parents=True)
         assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "seed0_all_rank2.ssnw" in err[0]
         out = tmp_path / "out"
         with open(out / "results.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [row["seed"] for row in rows] == ["0", "1"]
         assert rows[0]["status"].startswith("error: ")
         assert "seed0_all_rank2.ssnw" in rows[0]["status"]
+        for column in ("samples_seen", "weight_corr_median", "max_coherence",
+                       "mean_coherence"):
+            assert rows[0][column] != "", column
+        assert rows[0]["samples_seen"] == "100"
         assert rows[1]["status"] == "ok"
         assert (models / "seed1_all_rank2.ssnw").is_file()
         assert (models / "seed0_all_rank2.ssnw").is_dir()
         summary = json.loads((out / "summary.json").read_text())
         assert summary["groups"]
+
+    def test_failed_cell_keeps_the_columns_filled_before_the_failure(self, tmp_path):
+        # task 3 is censored in every sample, so the validation ANMSE of
+        # every cell is undefined; what the cell trained is still reported
+        data, _ = gen_single_layer(150, 8, 4, 2, 1.0, seed=32)
+        data.Y[:, 3] = 0.0
+        fx = tmp_path / "features.csv"
+        fy = tmp_path / "targets.csv"
+        save_csv(data, fx, fy)
+        path = write_config(
+            tmp_path, seeds=[0],
+            data={"kind": "csv", "features_path": str(fx), "targets_path": str(fy)})
+        assert main(["run", str(path)]) == 3
+        with open(tmp_path / "out" / "results.csv", newline="") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert row["status"].startswith("error: ")
+        assert "zero-variance" in row["status"]
+        assert row["samples_seen"] == "75"
+        assert int(row["trained_depth"]) >= 1
+        assert "anmse" not in row
 
     def test_artifacts_take_the_umask_mode(self, tmp_path):
         # artifacts go through a private temp file, but end up with the mode

@@ -290,6 +290,49 @@ class TestTrainLayer:
         np.testing.assert_allclose(layer.U, u, rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(layer.V, v, rtol=1e-12, atol=1e-14)
 
+    def test_matches_independent_op_loop(self):
+        # oracle: the paper's per-sample step written out with the scalar
+        # kernels, every sketch step on the whole of V and the refinement as
+        # an explicit outer product, against the loop train_layer runs on
+        # U V x and the g terms
+        n, d, t, r, k = 40, 12, 6, 3, 4
+        rng = np.random.default_rng(23)
+        x_all = rng.standard_normal((n, d))
+        y_all = np.where(rng.random((n, t)) < 0.4, 0.0, rng.uniform(0.1, 3.0, (n, t)))
+        y_all[::5] = 0.0  # rows all censored
+        y_all[2::5] = rng.uniform(0.1, 3.0, (len(y_all[2::5]), t))  # all observed
+        sigma = rng.uniform(0.5, 2.0, t)
+        cfg = TrainConfig(eta=5e-3, mu=1e-2, lam=0.2, rank=r, v_inner_steps=k,
+                          seed=24, step_decay=True, step_offset=10.0)
+        layer, trace = train_layer(Dataset(X=x_all, Y=y_all), cfg, sigma=sigma)
+
+        def terms(y, lin):
+            return [CensoredNllTerm(float(y[j]), float(lin[j]), float(sigma[j]))
+                    for j in range(t)]
+
+        init = np.random.default_rng(cfg.seed)
+        u = init.normal(0.0, cfg.init_scale / math.sqrt(r), size=(t, r))
+        v = init.normal(0.0, cfg.init_scale / math.sqrt(d), size=(r, d))
+        costs, du_norms = [], []
+        for i in range(n):
+            x, y = x_all[i], y_all[i]
+            scale = cfg.step_offset / (cfg.step_offset + i)
+            eta, mu = cfg.eta * scale, cfg.mu * scale
+            costs.append(sum(censored_nll(term) for term in terms(y, u @ v @ x))
+                         + 0.5 * cfg.lam * (np.sum(u ** 2) + np.sum(v ** 2)))
+            for _ in range(k):
+                grad = np.array([grad_mu_censored_nll(term)
+                                 for term in terms(y, u @ v @ x)])
+                v = v - eta * (np.outer(u.T @ grad, x) + cfg.lam * v)
+            coeff = np.array([grad_mu_censored_nll(term) for term in terms(y, u @ v @ x)])
+            u_new = u - mu * (np.outer(coeff, v @ x) + cfg.lam * u)
+            du_norms.append(np.linalg.norm(u_new - u))
+            u = u_new
+        np.testing.assert_allclose(layer.U, u, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(layer.V, v, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(trace.costs, costs, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(trace.du_norms, du_norms, rtol=1e-12, atol=0.0)
+
     def test_probe_trace_recorded(self):
         data, truth = gen_single_layer(30, 6, 4, 2, 0.5, seed=6)
         layer, trace = train_layer(data, TrainConfig(rank=2, seed=7),
