@@ -132,20 +132,17 @@ def _fmt(value) -> str:
 
 
 def _trace_csv(trace, ref_norm: float | None) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["i", "cost", "iterwise_diff", "subspace_diff",
-                     "subspace_diff_raw"])
-    for j in range(len(trace)):
-        du = trace.du_norms[j]
-        writer.writerow([
-            int(trace.iterations[j]) + 1,
-            _fmt(float(trace.costs[j])),
-            _fmt(float(du / ref_norm) if ref_norm else float(du)),
-            _fmt(float(trace.subspace_diffs[j])) if trace.subspace_diffs is not None else "",
-            _fmt(float(trace.subspace_diffs_raw[j])) if trace.subspace_diffs_raw is not None else "",
-        ])
-    return buf.getvalue()
+    """The trace as the bytes `csv.writer` gives over ``_fmt`` cells, each
+    row one ``%`` format; the probe columns are empty without a probe."""
+    du = trace.du_norms / ref_norm if ref_norm else trace.du_norms
+    cols = [trace.iterations + 1, trace.costs, du]
+    line = "%d,%.17g,%.17g"
+    for diffs in (trace.subspace_diffs, trace.subspace_diffs_raw):
+        line += ",%.17g" if diffs is not None else ","
+        cols += [] if diffs is None else [diffs]
+    line += "\r\n"
+    return ("i,cost,iterwise_diff,subspace_diff,subspace_diff_raw\r\n"
+            + "".join(line % row for row in zip(*(c.tolist() for c in cols))))
 
 
 def _cell_paths(cfg: ExperimentConfig, cell: Cell):

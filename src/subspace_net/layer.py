@@ -17,8 +17,10 @@ of the noise scales and ``x.x`` for every input (one ``einsum``). Per
 sample: one `CensoredSample` (its censored entries and two gathers of noise
 terms) serves all of its kernel calls, and the ``U V x`` formed for its
 cost starts the sketch loop. Each sample makes one NLL call and
-``v_inner_steps + 1`` gradient calls; the kernels are looked up as module
-globals at call time.
+``v_inner_steps + 1`` gradient calls. Per block of `PROBE_BLOCK` samples,
+when a probe is given: one call of each subspace metric on the stack of
+the block's bases. Kernels and metrics are looked up as module globals at
+call time.
 """
 
 from __future__ import annotations
@@ -36,12 +38,16 @@ from .censored import (
 )
 from .data import Dataset, _check_rank
 from .errors import (
+    DegenerateInputError,
     DimensionError,
     EmptyInputError,
     InvalidArgumentError,
     StepSizeError,
 )
 from .metrics import aligned_subspace_difference, subspace_difference
+
+# samples whose bases the probe compares with the planted one in one call
+PROBE_BLOCK = 32
 
 
 @dataclass
@@ -260,7 +266,7 @@ def _step_scale(cfg: TrainConfig, i: int) -> float:
     return cfg.step_offset / (cfg.step_offset + i)
 
 
-def _resolve_sigma(sigma, t: int) -> np.ndarray:
+def _noise_scales(sigma, t: int) -> np.ndarray:
     if sigma is None:
         return np.ones(t)
     sigma = np.atleast_1d(np.asarray(sigma, dtype=np.float64))
@@ -284,8 +290,8 @@ def train_layer(data: Dataset, cfg: TrainConfig, probe: np.ndarray | None = None
     Deterministic given the data order and seed.
 
     ``sigma`` fixes the per-task noise scales of the likelihood (default 1).
-    ``probe`` is an optional planted basis; when given, the trace logs
-    per-iteration recovery error against it.
+    ``probe`` is an optional planted basis (finite, not all zero); when
+    given, the trace logs per-iteration recovery error against it.
 
     Raises StepSizeError on divergence, carrying the last finite ``(U, V)``
     and the trace collected so far.
@@ -295,12 +301,17 @@ def train_layer(data: Dataset, cfg: TrainConfig, probe: np.ndarray | None = None
     n, d = data.X.shape
     t = data.Y.shape[1]
     _check_rank(cfg.rank, t, d)
-    sigma_vec = _resolve_sigma(sigma, t)
+    sigma_vec = _noise_scales(sigma, t)
     if probe is not None:
         probe = np.asarray(probe, dtype=np.float64)
         if probe.shape != (t, cfg.rank):
             raise DimensionError(
                 f"probe must have shape ({t}, {cfg.rank}), got {probe.shape}")
+        if not np.isfinite(probe).all():
+            raise InvalidArgumentError("probe must be finite")
+        if not probe.any():
+            raise DegenerateInputError("probe has zero Frobenius norm")
+        block = np.empty((PROBE_BLOCK, t, cfg.rank))
 
     noise = NoiseTerms(sigma_vec)
     xx = np.einsum("ij,ij->i", data.X, data.X)
@@ -312,6 +323,24 @@ def train_layer(data: Dataset, cfg: TrainConfig, probe: np.ndarray | None = None
     du_norms = np.empty(n)
     sub = np.empty(n) if probe is not None else None
     sub_raw = np.empty(n) if probe is not None else None
+
+    def probe_upto(end):
+        """Probe the samples before ``end`` whose bases ``block`` holds."""
+        k = (end - 1) % PROBE_BLOCK + 1
+        sub[end - k:end] = aligned_subspace_difference(probe, block[:k])
+        sub_raw[end - k:end] = subspace_difference(probe, block[:k])
+
+    def finish(end) -> TraceLog:
+        if probe is not None and end % PROBE_BLOCK:
+            probe_upto(end)
+        return TraceLog(
+            iterations=np.arange(end),
+            costs=costs[:end].copy(),
+            du_norms=du_norms[:end].copy(),
+            subspace_diffs=None if sub is None else sub[:end].copy(),
+            subspace_diffs_raw=None if sub_raw is None else sub_raw[:end].copy(),
+            samples_seen=end,
+        )
 
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n):
@@ -328,37 +357,25 @@ def train_layer(data: Dataset, cfg: TrainConfig, probe: np.ndarray | None = None
             if not np.isfinite(v_new).all():
                 raise StepSizeError(
                     f"sketch update diverged at sample {i}", iteration=i,
-                    last_state=(u, v),
-                    trace=_finish(costs, du_norms, sub, sub_raw, i))
+                    last_state=(u, v), trace=finish(i))
             v = v_new
 
             u_new = _refine_step(vx, lin, sample, u, cfg.lam, mu_i)
             if not np.isfinite(u_new).all():
                 raise StepSizeError(
                     f"basis update diverged at sample {i}", iteration=i,
-                    last_state=(u, v),
-                    trace=_finish(costs, du_norms, sub, sub_raw, i))
+                    last_state=(u, v), trace=finish(i))
             du = u_new - u
             du_norms[i] = math.sqrt(np.vdot(du, du))
             u = u_new
 
             if probe is not None:
-                sub[i] = aligned_subspace_difference(probe, u)
-                sub_raw[i] = subspace_difference(probe, u)
+                block[i % PROBE_BLOCK] = u
+                if (i + 1) % PROBE_BLOCK == 0:
+                    probe_upto(i + 1)
 
     layer = SubspaceLayer(U=u, V=v, sigma=sigma_vec, lam=cfg.lam)
-    return layer, _finish(costs, du_norms, sub, sub_raw, n)
-
-
-def _finish(costs, du_norms, sub, sub_raw, n) -> TraceLog:
-    return TraceLog(
-        iterations=np.arange(n),
-        costs=costs[:n].copy(),
-        du_norms=du_norms[:n].copy(),
-        subspace_diffs=None if sub is None else sub[:n].copy(),
-        subspace_diffs_raw=None if sub_raw is None else sub_raw[:n].copy(),
-        samples_seen=n,
-    )
+    return layer, finish(n)
 
 
 def predict_linear(layer: SubspaceLayer, x) -> np.ndarray:

@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateInputError, DimensionError
+from .errors import DegenerateInputError, DimensionError, InvalidArgumentError
 
 
 def _as_matrix(a, name: str) -> np.ndarray:
@@ -20,8 +20,19 @@ def _as_matrix(a, name: str) -> np.ndarray:
     return a
 
 
-def subspace_difference(reference: np.ndarray, candidate: np.ndarray) -> float:
-    """Relative Frobenius difference ``||reference - candidate||_F / ||reference||_F``.
+def _as_stack(candidate) -> tuple[np.ndarray, bool]:
+    """The candidate as a stack of matrices, and whether it was one matrix."""
+    candidate = np.asarray(candidate, dtype=np.float64)
+    if candidate.ndim not in (2, 3):
+        raise DimensionError(
+            f"candidate must be 2-D or a stack of 2-D, got shape {candidate.shape}")
+    return (candidate[None], True) if candidate.ndim == 2 else (candidate, False)
+
+
+def subspace_difference(reference: np.ndarray,
+                        candidate: np.ndarray) -> float | np.ndarray:
+    """Relative Frobenius difference ``||reference - candidate||_F / ||reference||_F``,
+    a float for one candidate matrix and an array for a stack of them.
 
     This compares raw matrix entries, so it is sensitive to the coordinate
     system of the factorization: remixing the candidate's columns changes the
@@ -30,35 +41,50 @@ def subspace_difference(reference: np.ndarray, candidate: np.ndarray) -> float:
     comparisons.
     """
     reference = _as_matrix(reference, "reference")
-    candidate = _as_matrix(candidate, "candidate")
-    if reference.shape != candidate.shape:
+    stack, single = _as_stack(candidate)
+    if reference.shape != stack.shape[1:]:
         raise DimensionError(
-            f"shape mismatch: {reference.shape} vs {candidate.shape}")
+            f"shape mismatch: {reference.shape} vs {stack.shape[1:]}")
     ref_norm = np.linalg.norm(reference)
     if ref_norm == 0.0:
         raise DegenerateInputError("reference matrix has zero Frobenius norm")
-    return float(np.linalg.norm(reference - candidate) / ref_norm)
+    norms = np.linalg.norm(reference - stack, axis=(1, 2)) / ref_norm
+    return float(norms[0]) if single else norms
 
 
 def aligned_subspace_difference(reference: np.ndarray,
-                                candidate: np.ndarray) -> float:
+                                candidate: np.ndarray) -> float | np.ndarray:
     """Relative residual of the reference after the best column remix of the
-    candidate: ``min_A ||reference - candidate A||_F / ||reference||_F``.
+    candidate: ``min_A ||reference - candidate A||_F / ||reference||_F``, a
+    float for one candidate matrix and an array for a stack of them.
 
     Equivalently, the fraction of the reference not captured by the
     candidate's column space. Invariant to invertible remixing of the
     candidate's columns, so it measures recovery of the subspace itself.
+    The stack takes one Householder QR and forms ``reference - Q Q^T
+    reference``; a candidate whose R has a diagonal entry below 1e-8 times
+    its largest is (near) rank deficient and takes ``lstsq``'s cutoff.
     """
     reference = _as_matrix(reference, "reference")
-    candidate = _as_matrix(candidate, "candidate")
-    if reference.shape[0] != candidate.shape[0]:
+    stack, single = _as_stack(candidate)
+    if reference.shape[0] != stack.shape[1]:
         raise DimensionError(
-            f"row counts differ: {reference.shape[0]} vs {candidate.shape[0]}")
+            f"row counts differ: {reference.shape[0]} vs {stack.shape[1]}")
+    if not np.isfinite(stack).all():
+        raise InvalidArgumentError("candidate must be finite")
     ref_norm = np.linalg.norm(reference)
     if ref_norm == 0.0:
         raise DegenerateInputError("reference matrix has zero Frobenius norm")
-    mix, *_ = np.linalg.lstsq(candidate, reference, rcond=None)
-    return float(np.linalg.norm(reference - candidate @ mix) / ref_norm)
+    q, r = np.linalg.qr(stack)
+    resid = reference - q @ (q.transpose(0, 2, 1) @ reference)
+    norms = np.linalg.norm(resid, axis=(1, 2))
+    diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
+    deficient = diag.min(1, initial=np.inf) <= 1e-8 * diag.max(1, initial=0.0)
+    for k in np.flatnonzero(deficient):
+        mix, *_ = np.linalg.lstsq(stack[k], reference, rcond=None)
+        norms[k] = np.linalg.norm(reference - stack[k] @ mix)
+    norms /= ref_norm
+    return float(norms[0]) if single else norms
 
 
 class CoherenceSummary(NamedTuple):

@@ -33,7 +33,7 @@ from .layer import (
     SubspaceLayer,
     TraceLog,
     TrainConfig,
-    _resolve_sigma,
+    _noise_scales,
     predict_batch,
     predict_linear_batch,
     train_layer,
@@ -234,7 +234,7 @@ def expand(data: Dataset, depth: int, cfg: TrainConfig, calibrate: bool = False,
         raise InvalidArgumentError(f"pred_scale must be positive, got {pred_scale}")
 
     t = data.t
-    sigma_k = noise = _resolve_sigma(sigma, t)
+    sigma_k = noise = _noise_scales(sigma, t)
     skip_cols = np.full(data.d, _rms(data.X))
     inputs, targets = data.X, data.Y
     cols, rows = np.ones(data.d), np.ones(t)

@@ -1,6 +1,7 @@
 """Tests for config validation and the command-line workflows."""
 
 import csv
+import io
 import json
 import math
 import os
@@ -13,6 +14,8 @@ from subspace_net.cli import main
 from subspace_net.config import load_config, validate_config_dict
 from subspace_net.data import gen_single_layer, load_csv, save_csv
 from subspace_net.errors import ConfigError
+from subspace_net.experiments import _trace_csv
+from subspace_net.layer import TraceLog
 from subspace_net.network import save_model
 
 
@@ -462,6 +465,30 @@ class TestRun:
         assert trace.exists()
         header = trace.read_text().splitlines()[0]
         assert header == "i,cost,iterwise_diff,subspace_diff,subspace_diff_raw"
+
+
+@pytest.mark.parametrize("probe", [False, True])
+@pytest.mark.parametrize("ref_norm", [None, 0.0, 2.5])
+def test_trace_csv_bytes_are_those_of_csv_writer(probe, ref_norm):
+    # oracle: the per-cell csv.writer rows over 17-significant-digit cells
+    costs = np.array([1.5, -0.0, math.nan, 1e-300, 123456789.123456789])
+    du = np.array([0.1, math.inf, 0.0, 2.0 / 3.0, 5e-324])
+    diffs = np.array([0.5, 1.0 / 3.0, math.nan, 1e17, 0.25]) if probe else None
+    trace = TraceLog(iterations=np.arange(5), costs=costs, du_norms=du,
+                     subspace_diffs=diffs,
+                     subspace_diffs_raw=None if diffs is None else 2 * diffs,
+                     samples_seen=5)
+    def cell(v):
+        return f"{float(v):.17g}"
+
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["i", "cost", "iterwise_diff", "subspace_diff", "subspace_diff_raw"])
+    for j in range(5):
+        writer.writerow([j + 1, cell(costs[j]), cell(du[j] / ref_norm if ref_norm else du[j]),
+                         cell(diffs[j]) if probe else "",
+                         cell(2 * diffs[j]) if probe else ""])
+    assert _trace_csv(trace, ref_norm) == buf.getvalue()
 
 
 class TestPredict:

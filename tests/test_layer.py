@@ -11,6 +11,7 @@ from subspace_net import layer as layer_module
 from subspace_net.censored import CensoredNllTerm, censored_nll, grad_mu_censored_nll
 from subspace_net.data import Dataset, gen_single_layer
 from subspace_net.errors import (
+    DegenerateInputError,
     DimensionError,
     EmptyInputError,
     InvalidArgumentError,
@@ -246,6 +247,19 @@ class TestTargetValidation:
             refine_u_row(0, np.ones(4), bad, layer, TrainConfig(rank=2, seed=0))
 
 
+def probe_oracle(data, cfg, probe, n):
+    """The probe values of the first ``n`` samples, one sample at a time:
+    the basis after sample i is the one a pass over samples 0..i ends with,
+    and each value is the written-out least-squares or Frobenius formula."""
+    aligned, raw = [], []
+    for i in range(n):
+        u = train_layer(Dataset(X=data.X[:i + 1], Y=data.Y[:i + 1]), cfg)[0].U
+        mix, *_ = np.linalg.lstsq(u, probe, rcond=None)
+        aligned.append(np.linalg.norm(probe - u @ mix) / np.linalg.norm(probe))
+        raw.append(np.linalg.norm(probe - u) / np.linalg.norm(probe))
+    return aligned, raw
+
+
 class TestTrainLayer:
     def test_single_sample_stream(self):
         data = Dataset(X=np.ones((1, 4)), Y=np.abs(np.ones((1, 2))))
@@ -353,6 +367,83 @@ class TestTrainLayer:
         assert excinfo.value.trace.samples_seen == excinfo.value.iteration
         u_last, v_last = excinfo.value.last_state
         assert np.isfinite(u_last).all() and np.isfinite(v_last).all()
+
+    def test_probe_validated_before_sample_zero(self, monkeypatch):
+        def untouched(*args, **kwargs):
+            raise AssertionError("a sample was trained")
+
+        monkeypatch.setattr(layer_module, "censored_nll_array", untouched)
+        data, truth = gen_single_layer(40, 6, 4, 2, 1.0, seed=30)
+        cfg = TrainConfig(rank=2, seed=31)
+        bad = truth.us[0].copy()
+        bad[1, 0] = math.nan
+        with pytest.raises(InvalidArgumentError):
+            train_layer(data, cfg, probe=bad)
+        bad[1, 0] = math.inf
+        with pytest.raises(InvalidArgumentError):
+            train_layer(data, cfg, probe=bad)
+        with pytest.raises(DegenerateInputError):
+            train_layer(data, cfg, probe=np.zeros((4, 2)))
+
+    def test_probe_blocks_match_per_sample_oracle(self):
+        # N = 70 is two full probe blocks and a tail; the probe only
+        # observes, so training is bit-identical with it on and off
+        n = 70
+        assert n % layer_module.PROBE_BLOCK
+        data, truth = gen_single_layer(n, 8, 5, 2, 1.0, seed=32)
+        cfg = TrainConfig(eta=1e-2, mu=1e-2, rank=2, v_inner_steps=3, seed=33,
+                          step_offset=20.0)
+        probe = truth.us[0]
+        on, trace_on = train_layer(data, cfg, probe=probe)
+        off, trace_off = train_layer(data, cfg)
+        for a, b in ((on.U, off.U), (on.V, off.V), (trace_on.costs, trace_off.costs),
+                     (trace_on.du_norms, trace_off.du_norms)):
+            np.testing.assert_array_equal(a, b)
+        assert trace_off.subspace_diffs is None and trace_off.subspace_diffs_raw is None
+        aligned, raw = probe_oracle(data, cfg, probe, n)
+        np.testing.assert_allclose(trace_on.subspace_diffs, aligned, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(trace_on.subspace_diffs_raw, raw, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("n", [1, 64, 70])
+    def test_probe_metrics_run_once_per_block(self, monkeypatch, n):
+        # looked up in the layer module at call time, where the benchmark's
+        # tracer wraps them
+        calls = []
+
+        def counting(name, metric):
+            def wrapped(probe, stack):
+                calls.append((name, len(stack)))
+                return metric(probe, stack)
+            return wrapped
+
+        for name in ("aligned_subspace_difference", "subspace_difference"):
+            monkeypatch.setattr(layer_module, name,
+                                counting(name, getattr(layer_module, name)))
+        data, truth = gen_single_layer(n, 6, 4, 2, 1.0, seed=36)
+        train_layer(data, TrainConfig(rank=2, seed=37), probe=truth.us[0])
+        sizes = [size for name, size in calls if name == "subspace_difference"]
+        assert sizes == [size for name, size in calls if name != "subspace_difference"]
+        assert len(sizes) == math.ceil(n / layer_module.PROBE_BLOCK)
+        assert sum(sizes) == n
+
+    def test_divergence_keeps_the_probe_trace(self):
+        # sample 45 overflows the sketch: the trace holds the probe values of
+        # samples 0..44, one full block and the part of the next before it
+        data, truth = gen_single_layer(60, 6, 4, 2, 1.0, seed=34)
+        x = data.X.copy()
+        x[45] *= 1e200
+        data = Dataset(X=x, Y=data.Y)
+        cfg = TrainConfig(rank=2, v_inner_steps=2, seed=35)
+        with pytest.raises(StepSizeError) as excinfo, warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            train_layer(data, cfg, probe=truth.us[0])
+        err = excinfo.value
+        assert err.iteration == 45
+        assert err.iteration % layer_module.PROBE_BLOCK
+        assert len(err.trace.subspace_diffs) == len(err.trace.subspace_diffs_raw) == 45
+        aligned, raw = probe_oracle(data, cfg, truth.us[0], 45)
+        np.testing.assert_allclose(err.trace.subspace_diffs, aligned, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(err.trace.subspace_diffs_raw, raw, rtol=1e-12, atol=0.0)
 
     def test_kernel_call_contract(self, monkeypatch):
         # one NLL call per sample (its cost) and one gradient call per inner

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from subspace_net.errors import DegenerateInputError, DimensionError
+from subspace_net.errors import DegenerateInputError, DimensionError, InvalidArgumentError
 from subspace_net.metrics import (
     aligned_subspace_difference,
     anmse,
@@ -21,6 +23,22 @@ def frobenius_loop(m):
         for j in range(m.shape[1]):
             total += m[i, j] ** 2
     return math.sqrt(total)
+
+
+def lstsq_residual(reference, candidate):
+    """Oracle: the best column remix of one candidate by least squares,
+    with lstsq's default cutoff for small singular values."""
+    mix, *_ = np.linalg.lstsq(candidate, reference, rcond=None)
+    return np.linalg.norm(reference - candidate @ mix) / np.linalg.norm(reference)
+
+
+def conditioned(rng, t, r, cond):
+    """A t x r matrix with singular values spread geometrically from 1 to
+    1/cond, times a random scale."""
+    left, _ = np.linalg.qr(rng.standard_normal((t, r)))
+    right, _ = np.linalg.qr(rng.standard_normal((r, r)))
+    s = np.geomspace(1.0, 1.0 / cond, r) * 10.0 ** rng.uniform(-3, 3)
+    return (left * s) @ right.T
 
 
 class TestSubspaceDifference:
@@ -78,6 +96,98 @@ class TestAlignedSubspaceDifference:
             expected = np.linalg.norm(resid) / np.linalg.norm(ref)
             assert aligned_subspace_difference(ref, cand) == pytest.approx(
                 expected, rel=1e-9)
+
+
+class TestStackedCandidates:
+    """Both subspace metrics take a stack of candidates, one value each."""
+
+    @settings(max_examples=300)
+    @given(t=st.integers(1, 30), r_frac=st.floats(0.0, 1.0), m=st.integers(1, 8),
+           log_cond=st.floats(0.0, 6.0), n=st.integers(1, 5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_per_candidate_oracles(self, t, r_frac, m, log_cond, n, seed):
+        # Householder QR and lstsq's SVD are both backward stable, so they
+        # differ by about eps * cond: 1e-12 where that is smaller, a bound
+        # scaled by cond above. Values are fractions of ||reference||, so
+        # the same bound also applies absolutely (a candidate with r = t
+        # spans everything and both values are rounding noise).
+        rng = np.random.default_rng(seed)
+        r = 1 + int(r_frac * (t - 1))
+        cond = 10.0 ** log_cond
+        ref = rng.standard_normal((t, m))
+        stack = np.stack([conditioned(rng, t, r, cond) for _ in range(n)])
+        raw_ref = rng.standard_normal((t, r))
+        tol = max(1e-12, 20 * np.finfo(float).eps * cond)
+        aligned = aligned_subspace_difference(ref, stack)
+        raw = subspace_difference(raw_ref, stack)
+        assert aligned.shape == raw.shape == (n,)
+        for k in range(n):
+            np.testing.assert_allclose(aligned[k], lstsq_residual(ref, stack[k]),
+                                       rtol=tol, atol=tol)
+            np.testing.assert_allclose(
+                raw[k], frobenius_loop(raw_ref - stack[k]) / frobenius_loop(raw_ref),
+                rtol=1e-12)
+
+    @settings(max_examples=200)
+    @given(t=st.integers(2, 30), r=st.integers(2, 12), m=st.integers(1, 6),
+           n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_rank_deficient_candidates_follow_lstsq(self, t, r, m, n, seed):
+        # a QR of a rank-deficient candidate spans directions the candidate
+        # does not; those candidates must take lstsq's cutoff instead
+        rng = np.random.default_rng(seed)
+        r = min(r, t)
+        stack = []
+        for _ in range(n):
+            rank = int(rng.integers(0, r))
+            cand = rng.standard_normal((t, rank)) @ rng.standard_normal((rank, r))
+            stack.append(cand * 10.0 ** rng.uniform(-3, 3))
+        stack.append(rng.standard_normal((t, r)))  # one full-rank neighbour
+        stack = np.stack(stack)
+        ref = rng.standard_normal((t, m))
+        got = aligned_subspace_difference(ref, stack)
+        for k in range(n):
+            np.testing.assert_allclose(got[k], lstsq_residual(ref, stack[k]),
+                                       rtol=1e-12, atol=1e-15)
+        tol = max(1e-12, 20 * np.finfo(float).eps * np.linalg.cond(stack[n]))
+        np.testing.assert_allclose(got[n], lstsq_residual(ref, stack[n]), rtol=tol, atol=tol)
+
+    def test_duplicated_and_zero_columns(self):
+        ref = np.eye(5)[:, :3] + 0.1
+        base = np.random.default_rng(12).standard_normal((5, 2))
+        stack = np.stack([base[:, [0, 0, 1]], np.column_stack([base, np.zeros(5)])])
+        got = aligned_subspace_difference(ref, stack)
+        want = [lstsq_residual(ref, c) for c in stack]
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+        assert got[0] == pytest.approx(lstsq_residual(ref, base), rel=1e-12)
+
+    def test_stack_of_one_equals_the_matrix_call(self):
+        rng = np.random.default_rng(13)
+        ref = rng.standard_normal((9, 3))
+        cand = rng.standard_normal((9, 3))
+        for metric in (aligned_subspace_difference, subspace_difference):
+            single = metric(ref, cand)
+            assert type(single) is float
+            assert metric(ref, cand[None]).tolist() == [single]
+
+    def test_errors_for_stacks(self):
+        stack = np.ones((2, 3, 2))
+        for metric in (aligned_subspace_difference, subspace_difference):
+            with pytest.raises(DegenerateInputError):
+                metric(np.zeros((3, 2)), stack)
+            with pytest.raises(DimensionError):
+                metric(np.ones((4, 2)), stack)
+            with pytest.raises(DimensionError):
+                metric(np.ones((3, 2)), np.ones((1, 2, 3, 2)))
+        with pytest.raises(DimensionError):
+            subspace_difference(np.ones((3, 2)), np.ones((2, 3, 3)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_candidate_rejected(self, bad):
+        # lstsq does not return on an infinite entry
+        stack = np.ones((2, 3, 2))
+        stack[1, 0, 0] = bad
+        with pytest.raises(InvalidArgumentError):
+            aligned_subspace_difference(np.eye(3)[:, :2], stack)
 
 
 class TestMutualCoherence:
