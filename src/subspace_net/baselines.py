@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .data import Dataset
 from .errors import (
@@ -46,6 +45,7 @@ def fit_ridge(data: Dataset, ridge_lambda: float = 0.0) -> LinearModel:
     the Gram matrix is numerically positive definite; otherwise a
     ConditioningError suggests regularizing.
     """
+    from scipy.linalg import LinAlgError, cho_factor, cho_solve  # loaded on first use
     if ridge_lambda < 0:
         raise InvalidArgumentError(f"ridge_lambda must be >= 0, got {ridge_lambda}")
     if data.n < 1:

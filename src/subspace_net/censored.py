@@ -19,7 +19,9 @@ evaluated as ``sqrt(2/pi) / (sigma erfcx((mu/sigma)/sqrt 2))``: the scaled
 complementary error function keeps it accurate to rounding in the deep
 tail, where a ratio of the density and the CDF would cancel. The argument
 is still capped at ``|z| <= CENSORED_Z_CAP``, with a `SaturationWarning`,
-because ``log_ndtr`` overflows to ``-inf`` once ``z^2`` does.
+because ``log_ndtr`` overflows to ``-inf`` once ``z^2`` does. Both are bound
+as module globals by the first `NoiseTerms` (every kernel call goes through
+one), so neither importing the package nor ``ssn predict`` loads SciPy.
 
 Scalar operations (`censored_nll`, `grad_mu_censored_nll`) validate their
 inputs and are the reference surface; the ``*_array`` variants are the
@@ -48,7 +50,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfcx, log_ndtr
 
 from .errors import InvalidArgumentError, SaturationWarning
 
@@ -62,8 +63,18 @@ _SQRT_2 = math.sqrt(2.0)
 CENSORED_Z_CAP = 1e8
 _CAP_SQ = CENSORED_Z_CAP * CENSORED_Z_CAP  # 1e16, exact in float64
 
-# ``log Phi(z)``: the routine the censored kernels use.
-log_std_normal_cdf = log_ndtr
+
+def _bind_special():
+    global erfcx, log_ndtr  # the kernels' routines, from scipy.special
+    if "log_ndtr" not in globals():
+        from scipy import special
+        erfcx, log_ndtr = special.erfcx, special.log_ndtr
+
+
+def log_std_normal_cdf(z):
+    """``log Phi(z)``: the routine the censored kernels use."""
+    _bind_special()
+    return log_ndtr(z)
 
 
 @dataclass(frozen=True)
@@ -94,6 +105,7 @@ class NoiseTerms:
     __slots__ = ("sigma", "log_sigma", "inv_var", "mills_scale")
 
     def __init__(self, sigma):
+        _bind_special()
         self.sigma = sigma
         self.log_sigma = np.log(sigma)
         self.inv_var = 1.0 / (sigma * sigma)

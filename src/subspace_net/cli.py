@@ -10,7 +10,7 @@ or model file, or a run artifact that could not be written; the other cells
 still run), 3 numeric failure in every cell. `validate` loads the
 config exactly as `run` does, so a config that validates also runs; `run`
 reads csv data once, before any cell. Cells run one after another in one
-process.
+process. `validate` and `predict` never import SciPy.
 """
 
 from __future__ import annotations

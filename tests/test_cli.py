@@ -6,10 +6,13 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import subspace_net
 from subspace_net.cli import main
 from subspace_net.config import load_config, validate_config_dict
 from subspace_net.data import gen_single_layer, load_csv, save_csv
@@ -567,3 +570,44 @@ class TestThreadPool:
             return "\n".join(",".join(line.split(",")[:-1]) for line in lines)
 
         assert strip(seq) == strip(par)
+
+
+IMPORT_CONTRACT = """
+import sys
+import numpy as np
+import subspace_net
+from subspace_net import cli, config, data, experiments, layer, network
+
+config_path, model, features, out = sys.argv[1:]
+assert cli.main(["validate", config_path]) == 0
+net = network.SubspaceNetwork(layers=[layer.SubspaceLayer(
+    U=np.ones((2, 1)), V=np.ones((1, 3)), sigma=np.ones(2))])
+network.save_model(net, model)
+with open(features, "w") as fh:
+    fh.write("a,b,c\\n1,2,3\\n4,5,6\\n")
+assert cli.main(["predict", "--model", model, "--features", features,
+                 "--out", out]) == 0
+loaded = [m for m in sys.modules if m.startswith("scipy")]
+assert loaded == [], loaded
+
+train, _ = data.gen_single_layer(5, 3, 2, 1, 1.0, seed=0)
+layer.train_layer(train, layer.TrainConfig(rank=1, v_inner_steps=1))
+subspace_net.fit_ridge(train, 1.0)
+assert {"scipy.special", "scipy.linalg"} <= set(sys.modules)
+"""
+
+
+def test_validate_and_predict_never_import_scipy(tmp_path):
+    # importing the package, `ssn validate` and `ssn predict` run no SciPy
+    # routine, so they must not pay for loading it; training still loads it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(subspace_net.__file__)))
+    config = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                          "configs", "depth_sweep.json")
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_CONTRACT, config, str(tmp_path / "m.ssnw"),
+         str(tmp_path / "f.csv"), str(tmp_path / "p.csv")],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        timeout=60, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "OK\n"
+    assert (tmp_path / "p.csv").read_text().count("\n") == 3
