@@ -114,14 +114,11 @@ class NoiseTerms:
 
 class CensoredSample:
     """What the 1-D float64 targets ``y`` of one sample fix for every kernel
-    call on it, with its noise scales: a `NoiseTerms`, or the ``sigma``
-    array to build one from."""
+    call on it, with its noise scales' `NoiseTerms`."""
 
     __slots__ = ("y", "noise", "censored", "sigma_censored", "mills_censored")
 
-    def __init__(self, y, noise):
-        if not isinstance(noise, NoiseTerms):
-            noise = NoiseTerms(noise)
+    def __init__(self, y, noise: NoiseTerms):
         self.y = y
         self.noise = noise
         self.censored = (y <= 0.0).nonzero()[0]
@@ -194,7 +191,7 @@ def grad_mu_censored_nll_array(sample: CensoredSample, mu) -> np.ndarray:
 def _one_entry(term: CensoredNllTerm):
     """The kernel arguments of one term: a one-entry sample and predictor."""
     y, sigma, mu = np.array([[term.y], [term.sigma], [term.mu]], dtype=np.float64)
-    return CensoredSample(y, sigma), mu
+    return CensoredSample(y, NoiseTerms(sigma)), mu
 
 
 def censored_nll(term: CensoredNllTerm) -> float:

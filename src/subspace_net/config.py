@@ -27,6 +27,7 @@ level; every violation is reported with its JSON path. The schema (version
         "step_decay": bool, "step_offset": float,
         "scale_steps": bool,   # scale eta/mu/init by the target RMS
         "sigma": "scaled" | "planted" | float, # likelihood noise policy
+                                               # ("planted": not for csv)
         "sigma_scale": float                   # alpha for the scaled policy
       },
       "depth": int,                            # network depth K
@@ -265,6 +266,9 @@ def validate_config_dict(obj) -> list[str]:
         for key in ("features_path", "targets_path"):
             if data.get(key) is None:
                 problems.append(_err(f"data.{key}", "required string for csv data"))
+        train = obj.get("train")
+        if isinstance(train, dict) and train.get("sigma") == "planted":
+            problems.append(_err("train.sigma", "'planted' requires planted data, not csv"))
     return problems
 
 

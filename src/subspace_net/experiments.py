@@ -2,10 +2,13 @@
 files (results.csv, summary.json, traces, model files).
 
 A run evaluates a grid of cells (seed x fraction x rank as configured) one
-after another, in sorted order. Cells are independent and write their
-artifacts atomically. A numeric failure in one cell, or a failed write of
-one of its artifacts, is recorded in its ``status`` column without aborting
-the sweep.
+after another, in sorted order. Recipes compute and the driver writes: a
+recipe fills the cell's results row and returns the network to save (all
+but ``calibration_study``) and the traces to write (the two recovery
+recipes), and `_write_cell` writes them atomically as the config asks,
+making ``traces/`` and ``models/`` only when it writes into them. A numeric
+failure in one cell, or a failed write of one of its artifacts, is recorded
+in its ``status`` column without aborting the sweep.
 
 Every random stream of a cell derives from the cell seed and a tag (0 the
 generator, 1 training, 2 the random coherence reference, 3 the train/valid
@@ -20,7 +23,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -89,10 +92,7 @@ def _resolve_sigma(cfg: ExperimentConfig, truth, target_rms: float):
     policy = cfg.train.sigma
     if policy == "scaled":
         return cfg.train.sigma_scale * target_rms
-    if policy == "planted":
-        if truth is None:
-            raise SubspaceNetError(
-                "train.sigma='planted' requires a planted generator")
+    if policy == "planted":  # the config rejects it for csv data
         return truth.sigma
     return float(policy)
 
@@ -131,11 +131,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _trace_csv(trace, ref_norm: float | None) -> str:
+def _trace_csv(trace) -> str:
     """The trace as the bytes `csv.writer` gives over ``_fmt`` cells, each
     row one ``%`` format; the probe columns are empty without a probe."""
-    du = trace.du_norms / ref_norm if ref_norm else trace.du_norms
-    cols = [trace.iterations + 1, trace.costs, du]
+    cols = [trace.iterations + 1, trace.costs, trace.du_norms]
     line = "%d,%.17g,%.17g"
     for diffs in (trace.subspace_diffs, trace.subspace_diffs_raw):
         line += ",%.17g" if diffs is not None else ","
@@ -143,13 +142,6 @@ def _trace_csv(trace, ref_norm: float | None) -> str:
     line += "\r\n"
     return ("i,cost,iterwise_diff,subspace_diff,subspace_diff_raw\r\n"
             + "".join(line % row for row in zip(*(c.tolist() for c in cols))))
-
-
-def _cell_paths(cfg: ExperimentConfig, cell: Cell):
-    frac = "all" if cell.fraction is None else f"f{cell.fraction:g}"
-    stem = f"seed{cell.seed}_{frac}_rank{cell.rank}"
-    return (os.path.join(cfg.output_dir, "traces", stem),
-            os.path.join(cfg.output_dir, "models", f"{stem}.ssnw"))
 
 
 def _setup(cfg: ExperimentConfig, cell: Cell, csv_data: Dataset | None):
@@ -192,15 +184,9 @@ def _run_single_layer_recovery(cfg: ExperimentConfig, cell: Cell, csv_data, row:
         if probe is not None:
             row["subspace_diff_final"] = float(trace.subspace_diffs[-1])
             row["subspace_diff_raw_final"] = float(trace.subspace_diffs_raw[-1])
-    trace_dir, model_path = _cell_paths(cfg, cell)
-    if cfg.save_traces:
-        os.makedirs(trace_dir, exist_ok=True)
-        ref = float(np.linalg.norm(truth.us[0])) if truth is not None else None
-        _atomic_write(os.path.join(trace_dir, "layer0.csv"),
-                      _trace_csv(trace, ref).encode("utf-8"))
-    if cfg.save_models:
-        net = SubspaceNetwork(layers=[layer], skip_mode=cfg.skip_mode)
-        save_model(net, model_path)
+        # the trace reports basis steps relative to the planted basis
+        trace = replace(trace, du_norms=trace.du_norms / np.linalg.norm(truth.us[0]))
+    return SubspaceNetwork(layers=[layer], skip_mode=cfg.skip_mode), [trace]
 
 
 def _run_deep_recovery(cfg: ExperimentConfig, cell: Cell, csv_data, row: dict):
@@ -216,14 +202,7 @@ def _run_deep_recovery(cfg: ExperimentConfig, cell: Cell, csv_data, row: dict):
             coh = mutual_coherence(layer.U, ref)
             row[f"max_coherence_l{k + 1}"] = coh.max_coherence
             row[f"mean_coherence_l{k + 1}"] = coh.mean_coherence
-    trace_dir, model_path = _cell_paths(cfg, cell)
-    if cfg.save_traces:
-        os.makedirs(trace_dir, exist_ok=True)
-        for k, trace in enumerate(traces):
-            _atomic_write(os.path.join(trace_dir, f"layer{k}.csv"),
-                          _trace_csv(trace, None).encode("utf-8"))
-    if cfg.save_models:
-        save_model(net, model_path)
+    return net, traces
 
 
 def _anmse_curve(net, valid, depth: int) -> list[float]:
@@ -244,9 +223,7 @@ def _run_depth_sweep(cfg: ExperimentConfig, cell: Cell, csv_data, row: dict):
         model = fit_ridge(train, cfg.ridge_lambda)
         row["ridge_anmse"] = anmse(valid.Y, predict_baseline(model, valid.X, censor=False))
         row["ridge_relu_anmse"] = anmse(valid.Y, predict_baseline(model, valid.X, censor=True))
-    _, model_path = _cell_paths(cfg, cell)
-    if cfg.save_models:
-        save_model(net, model_path)
+    return net, []
 
 
 def _run_calibration_study(cfg: ExperimentConfig, cell: Cell, csv_data, row: dict):
@@ -269,9 +246,10 @@ def _run_calibration_study(cfg: ExperimentConfig, cell: Cell, csv_data, row: dic
                         * (truth.sigma[a] - truth.sigma[b])) > 0:
                     agree += 1
         row["sigma_rank_agreement"] = agree / total if total else 1.0
+    return None, []
 
 
-# Each recipe fills the cell's results row in place as it computes it.
+# Each recipe fills the cell's row in place and returns (network or None, traces).
 _RECIPES = {
     "single_layer_recovery": _run_single_layer_recovery,
     "deep_recovery": _run_deep_recovery,
@@ -292,6 +270,23 @@ def _cells(cfg: ExperimentConfig) -> list[Cell]:
             for f in sorted(fractions) for r in sorted(ranks)]
 
 
+def _write_cell(cfg: ExperimentConfig, cell: Cell, net, traces):
+    """Write ``traces/<cell>/layer<k>.csv`` and ``models/<cell>.ssnw`` as
+    the config asks, making each directory when first writing into it."""
+    frac = "all" if cell.fraction is None else f"f{cell.fraction:g}"
+    stem = f"seed{cell.seed}_{frac}_rank{cell.rank}"
+    if cfg.save_traces and traces:
+        trace_dir = os.path.join(cfg.output_dir, "traces", stem)
+        os.makedirs(trace_dir, exist_ok=True)
+        for k, trace in enumerate(traces):
+            _atomic_write(os.path.join(trace_dir, f"layer{k}.csv"),
+                          _trace_csv(trace).encode("utf-8"))
+    if cfg.save_models and net is not None:
+        model_dir = os.path.join(cfg.output_dir, "models")
+        os.makedirs(model_dir, exist_ok=True)
+        save_model(net, os.path.join(model_dir, f"{stem}.ssnw"))
+
+
 def _run_cell(cfg: ExperimentConfig, cell: Cell,
               csv_data: Dataset | None) -> tuple[dict, OSError | None]:
     """The cell's results row, and the error of a failed write of one of its
@@ -301,7 +296,7 @@ def _run_cell(cfg: ExperimentConfig, cell: Cell,
     start = time.perf_counter()
     row, write_error = _base_row(cfg, cell), None
     try:
-        _RECIPES[cfg.experiment](cfg, cell, csv_data, row)
+        _write_cell(cfg, cell, *_RECIPES[cfg.experiment](cfg, cell, csv_data, row))
     except (SubspaceNetError, OSError) as exc:
         row["status"] = f"error: {exc}"
         if isinstance(exc, OSError):
@@ -367,10 +362,6 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     d = cfg.data
     csv_data = load_csv(d.features_path, d.targets_path) if d.kind == "csv" else None
     os.makedirs(cfg.output_dir, exist_ok=True)
-    if cfg.save_traces:
-        os.makedirs(os.path.join(cfg.output_dir, "traces"), exist_ok=True)
-    if cfg.save_models:
-        os.makedirs(os.path.join(cfg.output_dir, "models"), exist_ok=True)
     rows, first_write_error = [], None
     for cell in _cells(cfg):
         row, write_error = _run_cell(cfg, cell, csv_data)

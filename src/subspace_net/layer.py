@@ -184,7 +184,8 @@ def instantaneous_cost(x, y, layer: SubspaceLayer) -> float:
     x = _check_vector(x, layer.d_in, "x")
     y = _check_target(y, layer.t_out, "y")
     lin = layer.U @ (layer.V @ x)
-    return _cost(lin, CensoredSample(y, layer.sigma), layer.U, layer.V, layer.lam)
+    sample = CensoredSample(y, NoiseTerms(layer.sigma))
+    return _cost(lin, sample, layer.U, layer.V, layer.lam)
 
 
 def _sketch_step(x, xx, lin, sample, u, v, lam, eta, steps):
@@ -231,9 +232,9 @@ def sketch_v(x, y, layer: SubspaceLayer, cfg: TrainConfig) -> np.ndarray:
     """
     x = _check_vector(x, layer.d_in, "x")
     y = _check_target(y, layer.t_out, "y")
-    v, _, _ = _sketch_step(x, x @ x, layer.U @ (layer.V @ x),
-                           CensoredSample(y, layer.sigma), layer.U, layer.V,
-                           layer.lam, cfg.eta, cfg.v_inner_steps)
+    sample = CensoredSample(y, NoiseTerms(layer.sigma))
+    v, _, _ = _sketch_step(x, x @ x, layer.U @ (layer.V @ x), sample, layer.U,
+                           layer.V, layer.lam, cfg.eta, cfg.v_inner_steps)
     if not np.isfinite(v).all():
         raise StepSizeError("sketch update diverged", iteration=0)
     return v
@@ -253,8 +254,8 @@ def refine_u_row(t: int, x, y_t: float, layer: SubspaceLayer,
     y = _check_target([y_t], 1, "y_t")
     u = layer.U[t:t + 1]
     vx = layer.V @ x
-    row = _refine_step(vx, u @ vx, CensoredSample(y, layer.sigma[t:t + 1]), u,
-                       layer.lam, cfg.mu)[0]
+    sample = CensoredSample(y, NoiseTerms(layer.sigma[t:t + 1]))
+    row = _refine_step(vx, u @ vx, sample, u, layer.lam, cfg.mu)[0]
     if not np.isfinite(row).all():
         raise StepSizeError("basis row update diverged", iteration=0)
     return row

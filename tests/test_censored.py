@@ -111,7 +111,7 @@ class TestCensoredNll:
             assert math.isfinite(grad_mu_censored_nll(term))
 
     def test_saturation_warns_never_nan(self):
-        sample = CensoredSample(np.array([0.0]), np.array([1.0]))
+        sample = CensoredSample(np.array([0.0]), NoiseTerms(np.array([1.0])))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SaturationWarning):
@@ -158,11 +158,11 @@ class TestGradMu:
         # z = -mu/sigma far below zero: the inverse Mills ratio pdf(z)/Phi(z)
         # follows -z / (1 - 1/z^2 + 3/z^4 - 15/z^6), whose truncation error
         # (105/z^8) is negligible here
+        sample = CensoredSample(np.array([0.0]), NoiseTerms(np.array([1.0])))
         for r in (1e3, 1e4, 1e6, 1e8):
             z = -r
             series = -z / (1 - 1 / z**2 + 3 / z**4 - 15 / z**6)
-            got = grad_mu_censored_nll_array(
-                CensoredSample(np.array([0.0]), np.array([1.0])), np.array([r]))[0]
+            got = grad_mu_censored_nll_array(sample, np.array([r]))[0]
             assert got == pytest.approx(series, rel=1e-12, abs=0.0), r
 
     @settings(max_examples=500)
@@ -188,7 +188,7 @@ class TestArrayKernels:
         y = np.where(rng.random(500) < 0.4, 0.0, rng.uniform(0.01, 10, 500))
         mu = rng.uniform(-12, 12, 500)
         sigma = rng.uniform(0.1, 5, 500)
-        sample = CensoredSample(y, sigma)
+        sample = CensoredSample(y, NoiseTerms(sigma))
         nll_vec = censored_nll_array(sample, mu)
         grad_vec = grad_mu_censored_nll_array(sample, mu)
         for i in range(500):
@@ -206,7 +206,7 @@ class TestArrayKernels:
         # come out exactly as a one-entry call on it would, and the call must
         # warn (once) exactly when some entry's own call warns
         y, mu, sigma = (np.array(col) for col in zip(*entries))
-        sample = CensoredSample(y, sigma)
+        sample = CensoredSample(y, NoiseTerms(sigma))
         for kernel in (censored_nll_array, grad_mu_censored_nll_array):
             with warnings.catch_warnings(record=True) as whole:
                 warnings.simplefilter("always")
@@ -215,8 +215,8 @@ class TestArrayKernels:
             for i in range(len(y)):
                 with warnings.catch_warnings(record=True) as one:
                     warnings.simplefilter("always")
-                    expected.append(kernel(
-                        CensoredSample(y[i:i + 1], sigma[i:i + 1]), mu[i:i + 1]))
+                    one_entry = CensoredSample(y[i:i + 1], NoiseTerms(sigma[i:i + 1]))
+                    expected.append(kernel(one_entry, mu[i:i + 1]))
                 entry_warned += one
             assert got.tobytes() == np.concatenate(expected).tobytes()
             assert len(whole) == (1 if entry_warned else 0)
@@ -301,17 +301,5 @@ class TestAgainstReferenceFormulas:
             mu = sigma * CENSORED_Z_CAP * np.array([0.5, sign * factor, 9.0, math.nan])
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                kernel(CensoredSample(y, sigma), mu)
+                kernel(CensoredSample(y, NoiseTerms(sigma)), mu)
             assert [w.category for w in caught] == ([SaturationWarning] if warns else [])
-
-    def test_one_construction_path(self):
-        # the scalar ops, the public ops and training all build the sample
-        # through CensoredSample; a sigma array and its noise terms agree
-        y = np.array([0.0, 2.0, 0.0])
-        sigma = np.array([0.3, 1.0, 4.0])
-        mu = np.array([0.7, -1.0, -30.0])
-        from_array = CensoredSample(y, sigma)
-        from_terms = CensoredSample(y, NoiseTerms(sigma))
-        for kernel in (censored_nll_array, grad_mu_censored_nll_array):
-            assert kernel(from_array, mu).tobytes() == kernel(from_terms, mu).tobytes()
-        np.testing.assert_array_equal(from_array.censored, [0, 2])

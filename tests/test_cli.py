@@ -19,7 +19,7 @@ from subspace_net.data import gen_single_layer, load_csv, save_csv
 from subspace_net.errors import ConfigError
 from subspace_net.experiments import _trace_csv
 from subspace_net.layer import TraceLog
-from subspace_net.network import save_model
+from subspace_net.network import load_model, save_model
 
 
 def write_config(tmp_path, **overrides):
@@ -66,6 +66,23 @@ class TestValidate:
         assert "data.sigma_set" in capsys.readouterr().err
         assert main(["run", str(path)]) == 1
         assert "data.sigma_set" in capsys.readouterr().err
+
+    def test_planted_sigma_needs_planted_data(self, tmp_path, capsys):
+        # csv data has no planted noise scales: the config is rejected
+        # before any cell, by validate and run alike
+        data, _ = gen_single_layer(60, 8, 4, 2, 1.0, seed=31)
+        fx, fy = tmp_path / "features.csv", tmp_path / "targets.csv"
+        save_csv(data, fx, fy)
+        path = write_config(
+            tmp_path, train={"rank": 2, "sigma": "planted"},
+            data={"kind": "csv", "features_path": str(fx), "targets_path": str(fy)})
+        for command in ("validate", "run"):
+            assert main([command, str(path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (f"{path}: train.sigma: 'planted' requires "
+                                    "planted data, not csv\n")
+        assert not (tmp_path / "out").exists()
 
     def test_out_of_range_fraction(self, tmp_path, capsys):
         path = write_config(tmp_path, fractions=[1.5])
@@ -230,6 +247,9 @@ NEW_REJECTIONS = [
      ["data.n: must be a number, got str"]),
     ({"data": {"kind": "planted", "features_path": 5}}, (),
      ["data.features_path: required string for csv data"]),
+    ({"data": {"kind": "csv", "features_path": "x.csv", "targets_path": "y.csv"},
+      "train": {"sigma": "planted"}}, (),
+     ["train.sigma: 'planted' requires planted data, not csv"]),
     # json parses NaN and Infinity; no numeric key accepts them
     ({"train": {"eta": math.nan, "mu": math.inf}, "ridge_lambda": math.nan,
       "data": {"sigma": math.inf}}, (),
@@ -284,7 +304,7 @@ class TestRun:
         assert summary["groups"]
 
     def test_rerun_bit_identical_modulo_wall_clock(self, tmp_path):
-        path = write_config(tmp_path)
+        path = write_config(tmp_path, seeds=[0, 1, 2])
         assert main(["run", str(path)]) == 0
         out = tmp_path / "out"
 
@@ -419,6 +439,52 @@ class TestRun:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["groups"]
 
+    @pytest.mark.parametrize("experiment, written", [
+        ("calibration_study", ["results.csv", "summary.json"]),
+        ("depth_sweep", ["models", "results.csv", "summary.json"]),
+    ])
+    def test_run_makes_only_the_directories_it_writes_into(
+            self, tmp_path, experiment, written):
+        # neither recipe returns traces, and calibration_study no model
+        path = write_config(tmp_path, experiment=experiment, seeds=[0],
+                            save_models=True, save_traces=True)
+        assert main(["run", str(path)]) == 0
+        out = tmp_path / "out"
+        assert sorted(p.name for p in out.iterdir()) == written
+        if "models" in written:
+            assert [p.name for p in (out / "models").iterdir()] == ["seed0_f0.5_rank2.ssnw"]
+
+    def test_models_path_that_is_a_file_fails_each_cell(self, tmp_path, capsys):
+        # every cell computes its metrics, then fails to make models/; the
+        # run still writes its reports and exits with the IO error
+        path = write_config(tmp_path, seeds=[0, 1], save_models=True)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "models").write_text("")
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "models" in err[0]
+        with open(out / "results.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["seed"] for row in rows] == ["0", "1"]
+        for row in rows:
+            assert row["status"].startswith("error: ") and "models" in row["status"]
+            assert row["anmse"] != ""
+        assert json.loads((out / "summary.json").read_text()) == {"groups": []}
+        assert (out / "models").read_text() == ""
+
+    def test_numeric_sigma_policy_is_installed(self, tmp_path):
+        path = write_config(tmp_path, seeds=[0], save_models=True,
+                            train={"rank": 2, "v_inner_steps": 2, "sigma": 2.5})
+        assert main(["run", str(path)]) == 0
+        out = tmp_path / "out"
+        with open(out / "results.csv", newline="") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert row["sigma_policy"] == "2.5"
+        net = load_model(out / "models" / "seed0_f0.5_rank2.ssnw")
+        for layer in net.layers:
+            assert np.all(layer.sigma == 2.5)
+
     def test_failed_cell_keeps_the_columns_filled_before_the_failure(self, tmp_path):
         # task 3 is censored in every sample, so the validation ANMSE of
         # every cell is undefined; what the cell trained is still reported
@@ -458,21 +524,37 @@ class TestRun:
         err = capsys.readouterr().err
         assert "features_path" in err and "targets_path" in err
 
-    def test_traces_written_for_recovery(self, tmp_path):
+    def test_traces_written_for_recovery(self, tmp_path, monkeypatch):
+        # iterwise_diff is each basis step's norm over the planted basis norm
+        from subspace_net import experiments
+        returned = {}
+
+        def keep(name):
+            original = getattr(experiments, name)
+
+            def wrapped(*args, **kwargs):
+                returned[name] = original(*args, **kwargs)
+                return returned[name]
+            monkeypatch.setattr(experiments, name, wrapped)
+
+        keep("gen_single_layer")
+        keep("train_layer")
         cfg_path = write_config(
             tmp_path, experiment="single_layer_recovery", fractions=None,
             save_traces=True, seeds=[0],
             data={"kind": "planted", "n": 100, "d": 8, "t": 4, "r": 2, "sigma": 1.0})
         assert main(["run", str(cfg_path)]) == 0
         trace = tmp_path / "out" / "traces" / "seed0_all_rank2" / "layer0.csv"
-        assert trace.exists()
         header = trace.read_text().splitlines()[0]
         assert header == "i,cost,iterwise_diff,subspace_diff,subspace_diff_raw"
+        with open(trace, newline="") as fh:
+            written = [float(row["iterwise_diff"]) for row in csv.DictReader(fh)]
+        (_, truth), (_, log) = returned["gen_single_layer"], returned["train_layer"]
+        assert written == (log.du_norms / np.linalg.norm(truth.us[0])).tolist()
 
 
 @pytest.mark.parametrize("probe", [False, True])
-@pytest.mark.parametrize("ref_norm", [None, 0.0, 2.5])
-def test_trace_csv_bytes_are_those_of_csv_writer(probe, ref_norm):
+def test_trace_csv_bytes_are_those_of_csv_writer(probe):
     # oracle: the per-cell csv.writer rows over 17-significant-digit cells
     costs = np.array([1.5, -0.0, math.nan, 1e-300, 123456789.123456789])
     du = np.array([0.1, math.inf, 0.0, 2.0 / 3.0, 5e-324])
@@ -488,10 +570,10 @@ def test_trace_csv_bytes_are_those_of_csv_writer(probe, ref_norm):
     writer = csv.writer(buf)
     writer.writerow(["i", "cost", "iterwise_diff", "subspace_diff", "subspace_diff_raw"])
     for j in range(5):
-        writer.writerow([j + 1, cell(costs[j]), cell(du[j] / ref_norm if ref_norm else du[j]),
+        writer.writerow([j + 1, cell(costs[j]), cell(du[j]),
                          cell(diffs[j]) if probe else "",
                          cell(2 * diffs[j]) if probe else ""])
-    assert _trace_csv(trace, ref_norm) == buf.getvalue()
+    assert _trace_csv(trace) == buf.getvalue()
 
 
 class TestPredict:
@@ -554,22 +636,6 @@ class TestPredict:
         assert main(["predict", "--model", str(tmp_path / "no.ssnw"),
                      "--features", str(tmp_path / "no.csv"),
                      "--out", str(tmp_path / "p.csv")]) == 2
-
-
-class TestThreadPool:
-    def test_threaded_run_matches_sequential(self, tmp_path, monkeypatch):
-        path = write_config(tmp_path, seeds=[0, 1, 2])
-        assert main(["run", str(path)]) == 0
-        seq = (tmp_path / "out" / "results.csv").read_text()
-        monkeypatch.setenv("SSN_THREADS", "3")
-        assert main(["run", str(path)]) == 0
-        par = (tmp_path / "out" / "results.csv").read_text()
-
-        def strip(text):
-            lines = text.strip().splitlines()
-            return "\n".join(",".join(line.split(",")[:-1]) for line in lines)
-
-        assert strip(seq) == strip(par)
 
 
 IMPORT_CONTRACT = """

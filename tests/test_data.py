@@ -219,6 +219,16 @@ class TestCsvRoundTrip:
             load_csv(fx, fy)
         assert isinstance(excinfo.value.__cause__, UnicodeDecodeError)
 
+    def test_oversized_field_is_a_parse_error(self, tmp_path):
+        fx = tmp_path / "features.csv"
+        fy = tmp_path / "targets.csv"
+        fx.write_text("x0\n" + "1" * (csv.field_size_limit() + 1) + "\n")
+        fy.write_text("s\n0\n")
+        with pytest.raises(ParseError) as excinfo:
+            load_csv(fx, fy)
+        assert str(excinfo.value) == f"{fx}:2: field larger than field limit (131072)"
+        assert isinstance(excinfo.value.__cause__, csv.Error)
+
     def test_empty_header_row_rejected(self, tmp_path):
         fx = tmp_path / "features.csv"
         fy = tmp_path / "targets.csv"

@@ -219,6 +219,15 @@ class TestRefineURow:
             after = SubspaceLayer(U=u_new, V=layer.V, sigma=layer.sigma, lam=layer.lam)
             assert instantaneous_cost(x, y, after) <= instantaneous_cost(x, y, layer) + 1e-12
 
+    def test_huge_step_raises_step_size_error(self):
+        layer = SubspaceLayer(U=np.ones((3, 2)), V=np.full((2, 4), 1e6), sigma=np.ones(3))
+        cfg = TrainConfig(mu=1e300, rank=2, seed=0)
+        with pytest.raises(StepSizeError, match="^basis row update diverged$") as excinfo, \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # overflow precedes the check
+            refine_u_row(1, np.ones(4), 0.0, layer, cfg)
+        assert excinfo.value.iteration == 0
+
     def test_bad_task_index(self):
         layer = random_layer(np.random.default_rng(8))
         cfg = TrainConfig(rank=2, seed=0)
@@ -367,6 +376,29 @@ class TestTrainLayer:
         assert excinfo.value.trace.samples_seen == excinfo.value.iteration
         u_last, v_last = excinfo.value.last_state
         assert np.isfinite(u_last).all() and np.isfinite(v_last).all()
+
+    def test_basis_divergence_keeps_state_and_probe_trace(self):
+        # a tiny sketch step keeps V finite while the huge basis step
+        # overflows U on sample 1, after one finite basis update
+        data, truth = gen_single_layer(80, 6, 4, 2, 1.0, seed=3)
+        cfg = TrainConfig(eta=1e-12, mu=1e300, rank=2, step_decay=False)
+        with pytest.raises(StepSizeError) as excinfo, warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # saturation precedes the blow-up
+            train_layer(data, cfg, probe=truth.us[0])
+        err = excinfo.value
+        assert str(err) == "basis update diverged at sample 1"
+        assert err.iteration == 1 and err.trace.samples_seen == err.iteration
+        u_last, v_last = err.last_state
+        assert np.isfinite(u_last).all() and np.isfinite(v_last).all()
+        # the partial probe block was flushed; the raw Frobenius difference of
+        # a basis with entries near 1e300 overflows, so only the aligned one
+        # is finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            aligned, raw = probe_oracle(data, cfg, truth.us[0], 1)
+        assert np.isfinite(err.trace.subspace_diffs).all()
+        np.testing.assert_allclose(err.trace.subspace_diffs, aligned, rtol=1e-12, atol=0.0)
+        np.testing.assert_array_equal(err.trace.subspace_diffs_raw, raw)
 
     def test_probe_validated_before_sample_zero(self, monkeypatch):
         def untouched(*args, **kwargs):
