@@ -638,6 +638,22 @@ class TestPredict:
                      "--out", str(tmp_path / "p.csv")]) == 2
 
 
+class TestThreadPool:
+    def test_threaded_run_matches_sequential(self, tmp_path, monkeypatch):
+        path = write_config(tmp_path, seeds=[0, 1, 2])
+        assert main(["run", str(path)]) == 0
+        seq = (tmp_path / "out" / "results.csv").read_text()
+        monkeypatch.setenv("SSN_THREADS", "3")
+        assert main(["run", str(path)]) == 0
+        par = (tmp_path / "out" / "results.csv").read_text()
+
+        def strip(text):
+            lines = text.strip().splitlines()
+            return "\n".join(",".join(line.split(",")[:-1]) for line in lines)
+
+        assert strip(seq) == strip(par)
+
+
 IMPORT_CONTRACT = """
 import sys
 import numpy as np
