@@ -1,9 +1,10 @@
 """Closed-form uncensored baselines: ordinary and ridge least squares.
 
-Fitting centers the feature and target columns, solves the regularized
-normal equations once for all tasks with a Cholesky factorization, and
-recovers the intercepts from the means. Predictions can optionally be
-clamped at zero to mimic censored outputs at evaluation time.
+Fitting centers the feature and target columns, factors the regularized
+Gram matrix once with numpy's Cholesky routine, solves for all tasks with
+that factor, and recovers the intercepts from the means; it loads no SciPy
+module. Predictions can optionally be clamped at zero to mimic censored
+outputs at evaluation time.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ def fit_ridge(data: Dataset, ridge_lambda: float = 0.0) -> LinearModel:
     the Gram matrix is numerically positive definite; otherwise a
     ConditioningError suggests regularizing.
     """
-    from scipy.linalg import LinAlgError, cho_factor, cho_solve  # loaded on first use
     if ridge_lambda < 0:
         raise InvalidArgumentError(f"ridge_lambda must be >= 0, got {ridge_lambda}")
     if data.n < 1:
@@ -56,12 +56,12 @@ def fit_ridge(data: Dataset, ridge_lambda: float = 0.0) -> LinearModel:
     yc = data.Y - y_mean
     gram = xc.T @ xc + ridge_lambda * np.eye(data.d)
     try:
-        factor = cho_factor(gram)
-    except LinAlgError as exc:
+        lower = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError as exc:
         raise ConditioningError(
             "normal equations are singular; increase ridge_lambda above 0"
         ) from exc
-    w = cho_solve(factor, xc.T @ yc).T
+    w = np.linalg.solve(lower.T, np.linalg.solve(lower, xc.T @ yc)).T
     intercept = y_mean - w @ x_mean
     return LinearModel(W=w, intercept=intercept, ridge_lambda=ridge_lambda)
 

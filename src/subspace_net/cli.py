@@ -7,15 +7,17 @@
 
 Exit codes: 0 ok, 1 config error, 2 IO error (a missing or malformed data
 or model file, or a run artifact that could not be written; the other cells
-still run), 3 numeric failure in every cell. `validate` loads the
-config exactly as `run` does, so a config that validates also runs; `run`
-reads csv data once, before any cell. Cells run one after another in one
-process. `validate` and `predict` never import SciPy.
+still run), 3 numeric failure in every cell (one `error:` line names the
+`status` column of `results.csv`). `validate` loads the config exactly as
+`run` does, so a config that validates also runs; `run` reads csv data
+once, before any cell. Cells run one after another in one process.
+`validate` and `predict` never import SciPy.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .config import load_config
@@ -39,10 +41,14 @@ def _cmd_config(args) -> int:
         print("OK")
         return 0
     try:
-        return run_experiment(cfg)
+        code = run_experiment(cfg)
     except (OSError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if code == 3:
+        print(f"error: every cell failed; see the status column of "
+              f"{os.path.join(cfg.output_dir, 'results.csv')}", file=sys.stderr)
+    return code
 
 
 def _cmd_predict(args) -> int:

@@ -38,17 +38,30 @@ def subspace_difference(reference: np.ndarray,
     system of the factorization: remixing the candidate's columns changes the
     value even though the spanned subspace is identical. Use
     `aligned_subspace_difference` or `mutual_coherence` for coordinate-free
-    comparisons.
+    comparisons. A value whose sum of squares overflows is recomputed from
+    the matrices scaled by their largest entries.
     """
     reference = _as_matrix(reference, "reference")
     stack, single = _as_stack(candidate)
     if reference.shape != stack.shape[1:]:
         raise DimensionError(
             f"shape mismatch: {reference.shape} vs {stack.shape[1:]}")
-    ref_norm = np.linalg.norm(reference)
-    if ref_norm == 0.0:
-        raise DegenerateInputError("reference matrix has zero Frobenius norm")
-    norms = np.linalg.norm(reference - stack, axis=(1, 2)) / ref_norm
+    if not np.isfinite(stack).all():
+        raise InvalidArgumentError("candidate must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref_norm = np.linalg.norm(reference)
+        if ref_norm == 0.0:
+            raise DegenerateInputError("reference matrix has zero Frobenius norm")
+        norms = np.linalg.norm(reference - stack, axis=(1, 2)) / ref_norm
+    overflowed = np.isinf(ref_norm) | ~np.isfinite(norms)
+    if overflowed.any():
+        ref_max = np.abs(reference).max()
+        ref_scaled = np.linalg.norm(reference / ref_max)
+        for k in np.flatnonzero(overflowed):
+            scale = max(ref_max, np.abs(stack[k]).max())
+            diff = np.linalg.norm(reference / scale - stack[k] / scale)
+            with np.errstate(over="ignore"):
+                norms[k] = diff / ref_scaled * (scale / ref_max)
     return float(norms[0]) if single else norms
 
 

@@ -1,9 +1,13 @@
 """Tests for the ridge / least-squares baselines."""
 
+import os
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from subspace_net.baselines import fit_ridge, predict_baseline
+from subspace_net.config import load_config
 from subspace_net.data import Dataset
 from subspace_net.errors import ConditioningError, DimensionError, InvalidArgumentError
 
@@ -39,6 +43,26 @@ class TestFitRidge:
         yc = y - y.mean(axis=0)
         w_oracle = (np.linalg.inv(xc.T @ xc + lam * np.eye(5)) @ xc.T @ yc).T
         np.testing.assert_allclose(model.W, w_oracle, atol=1e-9)
+
+    @pytest.mark.parametrize("lam", ["zero", "config"])
+    def test_matches_scipy_cholesky_at_sweep_shape(self, lam):
+        # the depth sweep's baseline shape: N=500, D=50, T=20; the oracle
+        # solves the same centered normal equations with SciPy's Cholesky
+        config = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                              "configs", "depth_sweep.json")
+        lam = 0.0 if lam == "zero" else load_config(config).ridge_lambda
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((500, 50))
+        y = np.abs(rng.standard_normal((500, 20)))
+        model = fit_ridge(Dataset(X=x, Y=y), lam)
+        xc = x - x.mean(axis=0)
+        yc = y - y.mean(axis=0)
+        factor = scipy.linalg.cho_factor(xc.T @ xc + lam * np.eye(50))
+        w_oracle = scipy.linalg.cho_solve(factor, xc.T @ yc).T
+        b_oracle = y.mean(axis=0) - w_oracle @ x.mean(axis=0)
+        assert model.ridge_lambda == lam
+        for got, want in ((model.W, w_oracle), (model.intercept, b_oracle)):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_normal_equations_residual_small(self):
         rng = np.random.default_rng(3)

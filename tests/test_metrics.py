@@ -62,6 +62,33 @@ class TestSubspaceDifference:
         with pytest.raises(DegenerateInputError):
             subspace_difference(np.zeros((3, 2)), np.ones((3, 2)))
 
+    def test_huge_finite_candidate_stays_finite(self):
+        # ||r - c r|| / ||r|| = c - 1 exactly, although the sum of squares of
+        # the difference overflows; the aligned metric is finite on it too
+        r = np.random.default_rng(4).standard_normal((6, 2))
+        with np.errstate(all="raise"):
+            got = subspace_difference(r, 1e300 * r)
+        assert got == pytest.approx(1e300 - 1.0, rel=1e-12)
+        assert np.isfinite(aligned_subspace_difference(r, 1e300 * r))
+        # the difference itself overflows here; the quotient does not
+        got = subspace_difference(-np.ones((6, 2)), np.full((6, 2), 1.7e308))
+        assert got == pytest.approx(1.7e308, rel=1e-12)
+        # the reference's own sum of squares overflows
+        got = subspace_difference(1e200 * r, 1e200 * r + 1.0)
+        assert got == pytest.approx(math.sqrt(12) / (1e200 * frobenius_loop(r)), rel=1e-12)
+
+    def test_only_overflowed_entries_of_a_stack_are_recomputed(self):
+        rng = np.random.default_rng(5)
+        ref = rng.standard_normal((6, 2))
+        stack = rng.standard_normal((3, 6, 2))
+        stack[1] *= 1e300
+        got = subspace_difference(ref, stack)
+        plain = np.linalg.norm(ref - stack[[0, 2]], axis=(1, 2)) / np.linalg.norm(ref)
+        assert got[[0, 2]].tolist() == plain.tolist()
+        scale = np.abs(stack[1]).max()
+        want = scale * frobenius_loop(ref / scale - stack[1] / scale) / frobenius_loop(ref)
+        assert got[1] == pytest.approx(want, rel=1e-12)
+
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             subspace_difference(np.ones((3, 2)), np.ones((2, 3)))
@@ -186,8 +213,9 @@ class TestStackedCandidates:
         # lstsq does not return on an infinite entry
         stack = np.ones((2, 3, 2))
         stack[1, 0, 0] = bad
-        with pytest.raises(InvalidArgumentError):
-            aligned_subspace_difference(np.eye(3)[:, :2], stack)
+        for metric in (aligned_subspace_difference, subspace_difference):
+            with pytest.raises(InvalidArgumentError, match="candidate must be finite"):
+                metric(np.eye(3)[:, :2], stack)
 
 
 class TestMutualCoherence:
