@@ -54,25 +54,17 @@ def _cmd_config(args) -> int:
 def _cmd_predict(args) -> int:
     try:
         net = load_model(args.model)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        _, x = parse_numeric_csv(args.features)
+        if x.shape[1] != net.input_dim:
+            print(f"error: model expects {net.input_dim} features, "
+                  f"{args.features} has {x.shape[1]}", file=sys.stderr)
+            return 2
+        preds = forward_batch(net, x)
+        _write_table(args.out, [f"target_{j}" for j in range(net.task_dim)], preds)
     except ModelFormatError as exc:
         print(f"error: {args.model}: {exc}", file=sys.stderr)
         return 2
-    try:
-        _, x = parse_numeric_csv(args.features)
     except (OSError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if x.shape[1] != net.input_dim:
-        print(f"error: model expects {net.input_dim} features, "
-              f"{args.features} has {x.shape[1]}", file=sys.stderr)
-        return 2
-    preds = forward_batch(net, x)
-    try:
-        _write_table(args.out, [f"target_{j}" for j in range(net.task_dim)], preds)
-    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -9,7 +9,7 @@ level; every violation is reported with its JSON path. The schema (version
       "experiment": "single_layer_recovery" | "deep_recovery" |
                     "depth_sweep" | "calibration_study",
       "output_dir": str,
-      "seeds": [int, ...],                     # >= 1 entry
+      "seeds": [int, ...],                     # >= 1 entry, none repeated
       "data": {
         "kind": "planted" | "planted_deep" | "planted_hetero" | "csv",
         # planted kinds:
@@ -37,8 +37,8 @@ level; every violation is reported with its JSON path. The schema (version
       "residual_set": "all" | "uncensored",
       "fractions": [float, ...],               # train splits (split recipes
                                                # only; recovery recipes use
-                                               # the full dataset)
-      "ranks": [int, ...],                     # optional rank sweep
+                                               # the full dataset); distinct
+      "ranks": [int, ...],                     # optional rank sweep; distinct
       "ridge_lambda": float,                   # baseline regularization
       "include_baselines": bool,
       "save_models": bool,
@@ -269,6 +269,11 @@ def validate_config_dict(obj) -> list[str]:
         train = obj.get("train")
         if isinstance(train, dict) and train.get("sigma") == "planted":
             problems.append(_err("train.sigma", "'planted' requires planted data, not csv"))
+    for key in ("seeds", "fractions", "ranks"):
+        val = obj.get(key)
+        # repr tells 1 from 1.0 and True, and takes unhashable entries
+        if isinstance(val, list) and len(set(map(repr, val))) < len(val):
+            problems.append(_err(f"$.{key}", f"must not repeat an entry, got {val}"))
     return problems
 
 

@@ -131,12 +131,10 @@ def gen_single_layer(n: int, d: int, t: int, r: int, sigma: float,
                      seed: int) -> tuple[Dataset, PlantedTruth]:
     """Plant ``Y = ReLU(X V' U' + E)`` with i.i.d. standard Gaussian factors.
 
-    ``sigma`` is the shared noise scale of E. Deterministic per seed.
+    ``sigma`` is the shared noise scale of E. Deterministic per seed; this
+    is `gen_deep` at depth 1.
     """
-    if sigma < 0:
-        raise InvalidArgumentError(f"sigma must be nonnegative, got {sigma}")
-    sigma_row = np.full(t, float(sigma))
-    return _generate(n, d, t, r, sigma_row, 1, seed)
+    return gen_deep(n, d, t, r, sigma, 1, seed)
 
 
 def gen_deep(n: int, d: int, t: int, r: int, sigma: float, depth: int,

@@ -1,7 +1,11 @@
 """Evaluation metrics: subspace distances, mutual coherence, weight
 correlations, and average normalized mean squared error (ANMSE).
 
-All functions are pure and operate on plain ndarrays.
+All functions are pure and operate on plain ndarrays. Every norm is taken
+of its input scaled by a power of two (`_scaled`), and the norm of a
+difference at the common exponent of its two inputs. The scaling is exact,
+so a value whose sums of squares fit the float range is unchanged; no sum
+of squares overflows, and a nonzero input never has a zero norm.
 """
 
 from __future__ import annotations
@@ -20,13 +24,41 @@ def _as_matrix(a, name: str) -> np.ndarray:
     return a
 
 
-def _as_stack(candidate) -> tuple[np.ndarray, bool]:
-    """The candidate as a stack of matrices, and whether it was one matrix."""
-    candidate = np.asarray(candidate, dtype=np.float64)
-    if candidate.ndim not in (2, 3):
+def _scaled(*arrays, axis=None):
+    """``(*scaled, exp)``: the arrays times ``2**-exp``, with ``exp`` per slice
+    along ``axis`` (dimensions kept) the exponent that puts their largest
+    absolute entry in [0.5, 1), or 0 where they are all zero."""
+    tops = [np.abs(a).max(axis=axis, keepdims=True, initial=0.0) for a in arrays]
+    exp = np.frexp(np.max(np.broadcast_arrays(*tops), axis=0))[1]
+    return (*(np.ldexp(a, -exp) for a in arrays), exp)
+
+
+def _nonzero(norms: np.ndarray, what: str) -> np.ndarray:
+    """``norms``, after checking that none of them is zero."""
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise DegenerateInputError(f"{what} at index {zero.tolist()}")
+    return norms
+
+
+def _subspace_inputs(reference, candidate, same_shape: bool):
+    """The checked reference, the candidate as a stack, and whether it was one."""
+    reference = _as_matrix(reference, "reference")
+    stack = np.asarray(candidate, dtype=np.float64)
+    if stack.ndim not in (2, 3):
         raise DimensionError(
-            f"candidate must be 2-D or a stack of 2-D, got shape {candidate.shape}")
-    return (candidate[None], True) if candidate.ndim == 2 else (candidate, False)
+            f"candidate must be 2-D or a stack of 2-D, got shape {stack.shape}")
+    stack, single = stack.reshape((-1,) + stack.shape[-2:]), stack.ndim == 2
+    if same_shape and reference.shape != stack.shape[1:]:
+        raise DimensionError(f"shape mismatch: {reference.shape} vs {stack.shape[1:]}")
+    if reference.shape[0] != stack.shape[1]:
+        raise DimensionError(
+            f"row counts differ: {reference.shape[0]} vs {stack.shape[1]}")
+    if not np.isfinite(stack).all():
+        raise InvalidArgumentError("candidate must be finite")
+    if not reference.any():
+        raise DegenerateInputError("reference matrix has zero Frobenius norm")
+    return reference, stack, single
 
 
 def subspace_difference(reference: np.ndarray,
@@ -38,30 +70,13 @@ def subspace_difference(reference: np.ndarray,
     system of the factorization: remixing the candidate's columns changes the
     value even though the spanned subspace is identical. Use
     `aligned_subspace_difference` or `mutual_coherence` for coordinate-free
-    comparisons. A value whose sum of squares overflows is recomputed from
-    the matrices scaled by their largest entries.
+    comparisons.
     """
-    reference = _as_matrix(reference, "reference")
-    stack, single = _as_stack(candidate)
-    if reference.shape != stack.shape[1:]:
-        raise DimensionError(
-            f"shape mismatch: {reference.shape} vs {stack.shape[1:]}")
-    if not np.isfinite(stack).all():
-        raise InvalidArgumentError("candidate must be finite")
-    with np.errstate(over="ignore", invalid="ignore"):
-        ref_norm = np.linalg.norm(reference)
-        if ref_norm == 0.0:
-            raise DegenerateInputError("reference matrix has zero Frobenius norm")
-        norms = np.linalg.norm(reference - stack, axis=(1, 2)) / ref_norm
-    overflowed = np.isinf(ref_norm) | ~np.isfinite(norms)
-    if overflowed.any():
-        ref_max = np.abs(reference).max()
-        ref_scaled = np.linalg.norm(reference / ref_max)
-        for k in np.flatnonzero(overflowed):
-            scale = max(ref_max, np.abs(stack[k]).max())
-            diff = np.linalg.norm(reference / scale - stack[k] / scale)
-            with np.errstate(over="ignore"):
-                norms[k] = diff / ref_scaled * (scale / ref_max)
+    reference, stack, single = _subspace_inputs(reference, candidate, same_shape=True)
+    ref, cand, exp = _scaled(reference[None], stack, axis=(1, 2))
+    own, own_exp = _scaled(reference)
+    norms = np.linalg.norm(ref - cand, axis=(1, 2)) / np.linalg.norm(own)
+    norms = np.ldexp(norms, (exp - own_exp).ravel())
     return float(norms[0]) if single else norms
 
 
@@ -78,16 +93,8 @@ def aligned_subspace_difference(reference: np.ndarray,
     reference``; a candidate whose R has a diagonal entry below 1e-8 times
     its largest is (near) rank deficient and takes ``lstsq``'s cutoff.
     """
-    reference = _as_matrix(reference, "reference")
-    stack, single = _as_stack(candidate)
-    if reference.shape[0] != stack.shape[1]:
-        raise DimensionError(
-            f"row counts differ: {reference.shape[0]} vs {stack.shape[1]}")
-    if not np.isfinite(stack).all():
-        raise InvalidArgumentError("candidate must be finite")
-    ref_norm = np.linalg.norm(reference)
-    if ref_norm == 0.0:
-        raise DegenerateInputError("reference matrix has zero Frobenius norm")
+    reference, stack, single = _subspace_inputs(reference, candidate, same_shape=False)
+    reference, _ = _scaled(reference)
     q, r = np.linalg.qr(stack)
     resid = reference - q @ (q.transpose(0, 2, 1) @ reference)
     norms = np.linalg.norm(resid, axis=(1, 2))
@@ -96,7 +103,7 @@ def aligned_subspace_difference(reference: np.ndarray,
     for k in np.flatnonzero(deficient):
         mix, *_ = np.linalg.lstsq(stack[k], reference, rcond=None)
         norms[k] = np.linalg.norm(reference - stack[k] @ mix)
-    norms /= ref_norm
+    norms /= np.linalg.norm(reference)
     return float(norms[0]) if single else norms
 
 
@@ -117,13 +124,10 @@ def mutual_coherence(a: np.ndarray, b: np.ndarray) -> CoherenceSummary:
     b = _as_matrix(b, "b")
     if a.shape[0] != b.shape[0]:
         raise DimensionError(f"row counts differ: {a.shape[0]} vs {b.shape[0]}")
-    a_norms = np.linalg.norm(a, axis=0)
-    b_norms = np.linalg.norm(b, axis=0)
-    for name, norms in (("a", a_norms), ("b", b_norms)):
-        zero = np.flatnonzero(norms == 0.0)
-        if zero.size:
-            raise DegenerateInputError(
-                f"matrix {name} has zero column(s) at index {zero.tolist()}")
+    a, _ = _scaled(a, axis=0)
+    b, _ = _scaled(b, axis=0)
+    a_norms = _nonzero(np.linalg.norm(a, axis=0), "matrix a has zero column(s)")
+    b_norms = _nonzero(np.linalg.norm(b, axis=0), "matrix b has zero column(s)")
     cos = np.abs((a / a_norms).T @ (b / b_norms))
     cos = np.minimum(cos, 1.0)  # shave rounding overshoot above Cauchy-Schwarz
     return CoherenceSummary(float(cos.max()), float(cos.mean()))
@@ -139,15 +143,12 @@ def weight_correlations(w_hat: np.ndarray, w_true: np.ndarray) -> np.ndarray:
     w_true = _as_matrix(w_true, "w_true")
     if w_hat.shape != w_true.shape:
         raise DimensionError(f"shape mismatch: {w_hat.shape} vs {w_true.shape}")
+    w_hat, _ = _scaled(w_hat, axis=1)
+    w_true, _ = _scaled(w_true, axis=1)
     hc = w_hat - w_hat.mean(axis=1, keepdims=True)
     tc = w_true - w_true.mean(axis=1, keepdims=True)
-    h_norms = np.linalg.norm(hc, axis=1)
-    t_norms = np.linalg.norm(tc, axis=1)
-    for name, norms in (("w_hat", h_norms), ("w_true", t_norms)):
-        zero = np.flatnonzero(norms == 0.0)
-        if zero.size:
-            raise DegenerateInputError(
-                f"{name} has zero-variance row(s) at index {zero.tolist()}")
+    h_norms = _nonzero(np.linalg.norm(hc, axis=1), "w_hat has zero-variance row(s)")
+    t_norms = _nonzero(np.linalg.norm(tc, axis=1), "w_true has zero-variance row(s)")
     return np.sum(hc * tc, axis=1) / (h_norms * t_norms)
 
 
@@ -162,10 +163,9 @@ def anmse(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     y_pred = _as_matrix(y_pred, "y_pred")
     if y_true.shape != y_pred.shape:
         raise DimensionError(f"shape mismatch: {y_true.shape} vs {y_pred.shape}")
-    sse = np.sum((y_true - y_pred) ** 2, axis=0)
-    sst = np.sum((y_true - y_true.mean(axis=0)) ** 2, axis=0)
-    zero = np.flatnonzero(sst == 0.0)
-    if zero.size:
-        raise DegenerateInputError(
-            f"y_true has zero-variance column(s) at index {zero.tolist()}")
-    return float(np.mean(sse / sst))
+    true, pred, exp = _scaled(y_true, y_pred, axis=0)
+    sse = np.sum((true - pred) ** 2, axis=0)
+    true, true_exp = _scaled(y_true, axis=0)
+    sst = _nonzero(np.sum((true - true.mean(axis=0)) ** 2, axis=0),
+                   "y_true has zero-variance column(s)")
+    return float(np.mean(np.ldexp(sse / sst, 2 * (exp - true_exp)[0])))

@@ -232,6 +232,19 @@ PROBLEM_TABLE = [
       "data.apple: unknown key", "data.n: must be >= 1, got 0",
       "train.cherry: unknown key", "train.rank: must be >= 1, got 0",
       "$.depth: must be >= 1, got 0"]),
+    # a repeated seed, fraction or rank would rerun identical cells
+    ({"seeds": [0, 0]}, (), ["$.seeds: must not repeat an entry, got [0, 0]"]),
+    ({"fractions": [0.5, 0.7, 0.5]}, (),
+     ["$.fractions: must not repeat an entry, got [0.5, 0.7, 0.5]"]),
+    ({"ranks": [2, 2, 5, 5]}, (), ["$.ranks: must not repeat an entry, got [2, 2, 5, 5]"]),
+    ({"seeds": [3, 3], "fractions": [0.5, 0.5], "ranks": [1, 1]}, (),
+     ["$.seeds: must not repeat an entry, got [3, 3]",
+      "$.fractions: must not repeat an entry, got [0.5, 0.5]",
+      "$.ranks: must not repeat an entry, got [1, 1]"]),
+    ({"ranks": [1, 1.0, True]}, (), ["$.ranks: must be a nonempty list of positive integers"]),
+    ({"seeds": [[0], [0]]}, (),
+     ["$.seeds: required nonempty list of integers",
+      "$.seeds: must not repeat an entry, got [[0], [0]]"]),
 ]
 
 # keys that apply to one data kind only are checked whatever the kind

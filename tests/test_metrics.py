@@ -1,6 +1,7 @@
 """Tests for the evaluation metrics against independent scalar-loop oracles."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -23,6 +24,23 @@ def frobenius_loop(m):
         for j in range(m.shape[1]):
             total += m[i, j] ** 2
     return math.sqrt(total)
+
+
+def relative_difference_decimal(reference, candidate):
+    """Oracle: ``||reference - candidate||_F / ||reference||_F`` in 50-digit
+    decimal arithmetic, whose exponent range holds every square of a float."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        ref = [Decimal(float(x)) for x in np.ravel(reference)]
+        cand = [Decimal(float(x)) for x in np.ravel(candidate)]
+        diff = sum((a - b) ** 2 for a, b in zip(ref, cand))
+        return float(diff.sqrt() / sum(a * a for a in ref).sqrt())
+
+
+def signed_log_uniform(rng, shape):
+    """Entries of magnitude 2**-8 to 2**8 with random signs: times any
+    2**k with |k| <= 1000 they stay normal floats."""
+    return rng.choice([-1.0, 1.0], shape) * np.exp2(rng.uniform(-8, 8, shape))
 
 
 def lstsq_residual(reference, candidate):
@@ -77,7 +95,7 @@ class TestSubspaceDifference:
         got = subspace_difference(1e200 * r, 1e200 * r + 1.0)
         assert got == pytest.approx(math.sqrt(12) / (1e200 * frobenius_loop(r)), rel=1e-12)
 
-    def test_only_overflowed_entries_of_a_stack_are_recomputed(self):
+    def test_stack_entries_in_range_keep_the_plain_norm(self):
         rng = np.random.default_rng(5)
         ref = rng.standard_normal((6, 2))
         stack = rng.standard_normal((3, 6, 2))
@@ -337,3 +355,69 @@ class TestAnmse:
         y[:, 0] = np.arange(10)
         with pytest.raises(DegenerateInputError, match="index \\[1\\]"):
             anmse(y, y * 0.5)
+
+
+class TestPowerOfTwoScaling:
+    """Every norm is taken of inputs scaled by a power of two, which is exact,
+    so no metric overflows, underflows or moves under such a scaling."""
+
+    @settings(max_examples=300)
+    @given(k=st.integers(-1000, 1000), seed=st.integers(0, 2**32 - 1))
+    def test_every_metric_is_exact_under_power_of_two_scaling(self, k, seed):
+        # full-rank candidates, so the aligned metric takes its QR path
+        rng = np.random.default_rng(seed)
+        ref, a, b = (signed_log_uniform(rng, (8, r)) for r in (3, 3, 2))
+        stack = signed_log_uniform(rng, (2, 8, 3))
+        y, p = signed_log_uniform(rng, (10, 3)), signed_log_uniform(rng, (10, 3))
+        cases = [(subspace_difference, (ref, stack)),
+                 (aligned_subspace_difference, (ref, stack)),
+                 (mutual_coherence, (a, b)),
+                 (weight_correlations, (a.T, stack[0].T)),
+                 (anmse, (y, p))]
+        for metric, args in cases:
+            want = metric(*args)
+            got = metric(*(np.ldexp(x, k) for x in args))
+            np.testing.assert_array_equal(got, want, err_msg=metric.__name__)
+
+    def test_tiny_reference_is_nonzero(self):
+        # every square of a 1e-300 entry underflows to 0
+        r = np.random.default_rng(20).standard_normal((6, 2))
+        assert subspace_difference(1e-300 * r, r) == pytest.approx(
+            relative_difference_decimal(1e-300 * r, r), rel=1e-12)
+        assert aligned_subspace_difference(1e-300 * r, r) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-157, 1e-160, 1e-162])
+    def test_reference_whose_squares_are_subnormal(self, scale):
+        rng = np.random.default_rng(21)
+        ref = scale * rng.standard_normal((6, 2))
+        cand = ref + 0.3 * scale * rng.standard_normal((3, 6, 2))
+        got = subspace_difference(ref, cand)
+        for k in range(3):
+            assert got[k] == pytest.approx(
+                relative_difference_decimal(ref, cand[k]), rel=1e-12)
+        np.testing.assert_allclose(aligned_subspace_difference(ref, cand),
+                                   [lstsq_residual(ref / scale, c / scale) for c in cand],
+                                   rtol=1e-12)
+
+    def test_huge_reference_in_the_aligned_metric(self):
+        # the reference's sum of squares overflows; its columns lie in the
+        # candidate's span
+        r = np.random.default_rng(22).standard_normal((6, 2))
+        assert aligned_subspace_difference(1e200 * r, r[:, ::-1]) == pytest.approx(
+            0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_coherence_of_a_scaled_copy(self, scale):
+        r = np.random.default_rng(23).standard_normal((6, 2))
+        summary = mutual_coherence(scale * r, r)
+        assert summary.max_coherence == pytest.approx(1.0, abs=1e-12)
+        assert summary.mean_coherence == pytest.approx(
+            mutual_coherence(r, r).mean_coherence, abs=1e-12)
+
+    def test_correlation_of_a_scaled_copy(self):
+        w = np.random.default_rng(24).standard_normal((3, 5))
+        np.testing.assert_allclose(weight_correlations(1e200 * w, w), 1.0, rtol=0, atol=1e-12)
+
+    def test_anmse_of_huge_targets(self):
+        y = np.random.default_rng(25).standard_normal((10, 3)) ** 2
+        assert anmse(1e200 * y, 0.9e200 * y) == pytest.approx(anmse(y, 0.9 * y), rel=1e-12)
