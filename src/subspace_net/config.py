@@ -31,10 +31,7 @@ level; every violation is reported with its JSON path. The schema (version
         "sigma_scale": float                   # alpha for the scaled policy
       },
       "depth": int,                            # network depth K
-      "skip_mode": "concat" | "naive",
-      "pred_scale": float,                     # stacked prediction-block scale
       "calibrate": bool,
-      "residual_set": "all" | "uncensored",
       "fractions": [float, ...],               # train splits (split recipes
                                                # only; recovery recipes use
                                                # the full dataset); distinct
@@ -191,12 +188,7 @@ class ExperimentConfig:
     data: DataConfig = field(default_factory=DataConfig)
     train: TrainSection = field(default_factory=TrainSection)
     depth: int = _setting(3, _COUNT)
-    skip_mode: str = _setting("concat", _one_of(("concat", "naive"),
-                                                "must be 'concat' or 'naive'"))
-    pred_scale: float = _setting(0.1, _POSITIVE)
     calibrate: bool = _setting(False, _boolean)
-    residual_set: str = _setting("all", _one_of(("all", "uncensored"),
-                                                "must be 'all' or 'uncensored'"))
     fractions: list | None = _setting(None, _nonempty_list, each=_fraction)
     ranks: list | None = _setting(
         None, _list_of(lambda v: _integer(v) and v >= 1,

@@ -117,9 +117,8 @@ def _base_row(cfg: ExperimentConfig, cell: Cell) -> dict:
         "v_inner_steps": tr.v_inner_steps, "init_scale": tr.init_scale,
         "step_decay": tr.step_decay, "step_offset": tr.step_offset,
         "scale_steps": tr.scale_steps, "sigma_policy": str(tr.sigma),
-        "sigma_scale": tr.sigma_scale, "skip_mode": cfg.skip_mode,
-        "pred_scale": cfg.pred_scale, "calibrate": cfg.calibrate,
-        "residual_set": cfg.residual_set, "ridge_lambda": cfg.ridge_lambda,
+        "sigma_scale": tr.sigma_scale, "calibrate": cfg.calibrate,
+        "ridge_lambda": cfg.ridge_lambda,
         "status": "ok",
     })
     return row
@@ -161,14 +160,6 @@ def _setup(cfg: ExperimentConfig, cell: Cell, csv_data: Dataset | None):
     return truth, train, valid, tc, _resolve_sigma(cfg, truth, target_rms)
 
 
-def _expand(cfg: ExperimentConfig, train, tc: TrainConfig, sigma, **overrides):
-    """`expand` to the configured depth with the configured network settings;
-    ``overrides`` replace any of them."""
-    settings = dict(calibrate=cfg.calibrate, skip_mode=cfg.skip_mode, sigma=sigma,
-                    residual_set=cfg.residual_set, pred_scale=cfg.pred_scale)
-    return expand(train, cfg.depth, tc, **{**settings, **overrides})
-
-
 def _run_single_layer_recovery(cfg: ExperimentConfig, cell: Cell, csv_data, row: dict):
     truth, data, _, tc, sigma = _setup(cfg, cell, csv_data)
     probe = truth.us[0] if (truth is not None and cell.rank == cfg.data.r) else None
@@ -186,12 +177,12 @@ def _run_single_layer_recovery(cfg: ExperimentConfig, cell: Cell, csv_data, row:
             row["subspace_diff_raw_final"] = float(trace.subspace_diffs_raw[-1])
         # the trace reports basis steps relative to the planted basis
         trace = replace(trace, du_norms=trace.du_norms / np.linalg.norm(truth.us[0]))
-    return SubspaceNetwork(layers=[layer], skip_mode=cfg.skip_mode), [trace]
+    return SubspaceNetwork(layers=[layer]), [trace]
 
 
 def _run_deep_recovery(cfg: ExperimentConfig, cell: Cell, csv_data, row: dict):
     truth, data, _, tc, sigma = _setup(cfg, cell, csv_data)
-    net, traces = _expand(cfg, data, tc, sigma)
+    net, traces = expand(data, cfg.depth, tc, calibrate=cfg.calibrate, sigma=sigma)
     row["trained_depth"] = net.depth
     if truth is not None:
         # the output-side planted basis structures every greedy layer's tasks
@@ -212,7 +203,7 @@ def _anmse_curve(net, valid, depth: int) -> list[float]:
 
 def _run_depth_sweep(cfg: ExperimentConfig, cell: Cell, csv_data, row: dict):
     _, train, valid, tc, sigma = _setup(cfg, cell, csv_data)
-    net, traces = _expand(cfg, train, tc, sigma)
+    net, traces = expand(train, cfg.depth, tc, calibrate=cfg.calibrate, sigma=sigma)
     row["trained_depth"] = net.depth
     row["samples_seen"] = traces[0].samples_seen
     curve = _anmse_curve(net, valid, cfg.depth)
@@ -228,13 +219,13 @@ def _run_depth_sweep(cfg: ExperimentConfig, cell: Cell, csv_data, row: dict):
 
 def _run_calibration_study(cfg: ExperimentConfig, cell: Cell, csv_data, row: dict):
     truth, train, valid, tc, sigma = _setup(cfg, cell, csv_data)
-    nets = {calibrate: _expand(cfg, train, tc, sigma, calibrate=calibrate,
-                               stop_on_degrade=False)[0]
+    nets = {calibrate: expand(train, cfg.depth, tc, calibrate=calibrate, sigma=sigma,
+                              stop_on_degrade=False)[0]
             for calibrate in (False, True)}
     row["anmse_noncalibrated"] = anmse(valid.Y, forward_batch(nets[False], valid.X))
     row["anmse_calibrated"] = anmse(valid.Y, forward_batch(nets[True], valid.X))
     # layer 0 of an expansion is the layer `train_layer` returns
-    report = calibrate_sigma(nets[True].layers[0], train, residual_set=cfg.residual_set)
+    report = calibrate_sigma(nets[True].layers[0], train)
     if truth is not None:
         agree = total = 0
         for a in range(train.t):

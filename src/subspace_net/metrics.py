@@ -28,7 +28,8 @@ def _scaled(*arrays, axis=None):
     """``(*scaled, exp)``: the arrays times ``2**-exp``, with ``exp`` per slice
     along ``axis`` (dimensions kept) the exponent that puts their largest
     absolute entry in [0.5, 1), or 0 where they are all zero."""
-    tops = [np.abs(a).max(axis=axis, keepdims=True, initial=0.0) for a in arrays]
+    tops = [np.maximum(a.max(axis=axis, keepdims=True, initial=0.0),
+                       -a.min(axis=axis, keepdims=True, initial=0.0)) for a in arrays]
     exp = np.frexp(np.max(np.broadcast_arrays(*tops), axis=0))[1]
     return (*(np.ldexp(a, -exp) for a in arrays), exp)
 
@@ -73,9 +74,10 @@ def subspace_difference(reference: np.ndarray,
     comparisons.
     """
     reference, stack, single = _subspace_inputs(reference, candidate, same_shape=True)
-    ref, cand, exp = _scaled(reference[None], stack, axis=(1, 2))
+    diff, cand, exp = _scaled(reference[None], stack, axis=(1, 2))
+    diff -= cand
     own, own_exp = _scaled(reference)
-    norms = np.linalg.norm(ref - cand, axis=(1, 2)) / np.linalg.norm(own)
+    norms = np.linalg.norm(diff, axis=(1, 2)) / np.linalg.norm(own)
     norms = np.ldexp(norms, (exp - own_exp).ravel())
     return float(norms[0]) if single else norms
 
@@ -92,6 +94,10 @@ def aligned_subspace_difference(reference: np.ndarray,
     The stack takes one Householder QR and forms ``reference - Q Q^T
     reference``; a candidate whose R has a diagonal entry below 1e-8 times
     its largest is (near) rank deficient and takes ``lstsq``'s cutoff.
+    That branch is not bit-exactly invariant under power-of-two scaling
+    when the candidate's largest entry lies outside about [2e-292, 5e291],
+    because LAPACK then rescales by factors of its own; its values stay
+    accurate.
     """
     reference, stack, single = _subspace_inputs(reference, candidate, same_shape=False)
     reference, _ = _scaled(reference)

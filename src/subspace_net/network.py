@@ -2,12 +2,10 @@
 wiring, per-task noise calibration, forward evaluation, and a binary model
 file format.
 
-Layer 0 consumes the raw features. In ``concat`` mode every later layer
-consumes ``[previous prediction; raw features]`` (length T + D), which lets
-a new layer reproduce its predecessor through the feature block alone, so
-stacking cannot lose information. In ``naive`` mode later layers consume
-only the previous prediction (length T), which can discard information and
-exists to demonstrate exactly that.
+Layer 0 consumes the raw features. Every later layer consumes
+``[previous prediction; raw features]`` (length T + D), which lets a new
+layer reproduce its predecessor through the feature block alone, so
+stacking cannot lose information.
 """
 
 from __future__ import annotations
@@ -39,7 +37,8 @@ from .layer import (
     train_layer,
 )
 
-SKIP_MODES = ("concat", "naive")
+# the skip wiring each model-file mode byte names; byte 0 is the only one
+SKIP_MODES = ("concat",)
 
 MODEL_MAGIC = b"SSNW"
 MODEL_VERSION = 1
@@ -47,12 +46,15 @@ MODEL_VERSION = 1
 SIGMA_MIN = 1e-2
 SIGMA_MAX = 1e2
 
-RESIDUAL_SETS = ("all", "uncensored")
+# root-mean-square entry scale of the prediction block in a stacked layer's
+# standardized inputs (the raw-feature block has scale 1)
+PRED_SCALE = 0.1
 
 
 @dataclass
 class SubspaceNetwork:
-    """Ordered stack of trained layers plus the skip wiring between them."""
+    """Ordered stack of trained layers. ``skip_mode`` names the one skip
+    wiring, ``concat``."""
 
     layers: list[SubspaceLayer]
     skip_mode: str = "concat"
@@ -68,14 +70,10 @@ class SubspaceNetwork:
             if layer.t_out != t:
                 raise DimensionError(
                     f"layer {k} outputs {layer.t_out} tasks, expected {t}")
-            if k > 0 and layer.d_in != self._stacked_d_in():
+            if k > 0 and layer.d_in != t + self.input_dim:
                 raise DimensionError(
                     f"layer {k} consumes {layer.d_in} inputs, expected "
-                    f"{self._stacked_d_in()} for skip_mode={self.skip_mode!r}")
-
-    def _stacked_d_in(self) -> int:
-        t = self.layers[0].t_out
-        return t + self.input_dim if self.skip_mode == "concat" else t
+                    f"{t + self.input_dim} (predictions and features)")
 
     @property
     def input_dim(self) -> int:
@@ -95,26 +93,16 @@ class CalibrationReport:
     """Per-task noise estimates from one layer's pre-activation residuals.
 
     ``clamped_low`` / ``clamped_high`` flag tasks whose raw estimate fell
-    outside ``[SIGMA_MIN, SIGMA_MAX]``. In ``uncensored`` mode, tasks without
-    a single positive target fall back to the all-samples residual and are
-    flagged in ``fallback``.
+    outside ``[SIGMA_MIN, SIGMA_MAX]``. Tasks without a single positive
+    target fall back to the all-samples residual and are flagged in
+    ``fallback``; ``n_used`` counts the samples behind each estimate.
     """
 
     sigma: np.ndarray
     clamped_low: np.ndarray
     clamped_high: np.ndarray
     fallback: np.ndarray
-    residual_set: str
     n_used: np.ndarray
-
-
-def _layer_inputs(skip_mode: str, h: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """What a stacked layer consumes: ``[h; x]`` in ``concat`` mode, ``h`` in
-    ``naive`` mode, along the last axis (rows of inputs, or per-column
-    vectors)."""
-    if skip_mode == "concat":
-        return np.concatenate([h, x], axis=-1)
-    return h
 
 
 def forward(net: SubspaceNetwork, x, upto: int | None = None) -> np.ndarray:
@@ -137,30 +125,25 @@ def forward_batch(net: SubspaceNetwork, x_mat, upto: int | None = None) -> np.nd
     h = predict_batch(net.layers[0], x_mat)
     for k in range(1, upto):
         try:
-            h = predict_batch(net.layers[k], _layer_inputs(net.skip_mode, h, x_mat))
+            h = predict_batch(net.layers[k], np.concatenate([h, x_mat], axis=1))
         except DimensionError as exc:
             raise DimensionError(f"layer {k}: {exc}") from exc
     return h
 
 
-def calibrate_sigma(layer: SubspaceLayer, data: Dataset,
-                    residual_set: str = "all") -> CalibrationReport:
+def calibrate_sigma(layer: SubspaceLayer, data: Dataset) -> CalibrationReport:
     """Estimate per-task noise scales from pre-activation residuals.
 
     For each task, ``sigma_t^2`` is the mean squared residual between the
-    targets and the layer's linear (pre-ReLU) predictions, clamped to
-    ``[SIGMA_MIN, SIGMA_MAX]``. ``residual_set="all"`` averages over every
-    sample; ``"uncensored"`` restricts to samples with a positive target,
-    which avoids inflating the estimate on heavily censored tasks where
-    zero targets sit far from a strongly negative predictor. A task with no
-    positive target falls back to every sample.
+    targets and the layer's linear (pre-ReLU) predictions over the samples
+    with a positive target, clamped to ``[SIGMA_MIN, SIGMA_MAX]``. Leaving
+    out the censored samples avoids inflating the estimate on heavily
+    censored tasks, where zero targets sit far from a strongly negative
+    predictor. A task with no positive target falls back to every sample.
     """
-    if residual_set not in RESIDUAL_SETS:
-        raise InvalidArgumentError(
-            f"residual_set must be one of {RESIDUAL_SETS}, got {residual_set!r}")
     if data.n < 1:
         raise EmptyInputError("calibration data is empty")
-    used = data.Y > 0 if residual_set == "uncensored" else np.ones(data.Y.shape, dtype=bool)
+    used = data.Y > 0
     fallback = ~used.any(axis=0)
     used[:, fallback] = True
     n_used = used.sum(axis=0)
@@ -171,7 +154,6 @@ def calibrate_sigma(layer: SubspaceLayer, data: Dataset,
         clamped_low=raw < SIGMA_MIN,
         clamped_high=raw > SIGMA_MAX,
         fallback=fallback,
-        residual_set=residual_set,
         n_used=n_used,
     )
 
@@ -182,22 +164,20 @@ def _rms(m: np.ndarray) -> float:
 
 
 def expand(data: Dataset, depth: int, cfg: TrainConfig, calibrate: bool = False,
-           skip_mode: str = "concat", sigma=None, residual_set: str = "all",
-           pred_scale: float = 0.1,
-           stop_on_degrade: bool = True) -> tuple[SubspaceNetwork, list[TraceLog]]:
+           sigma=None, stop_on_degrade: bool = True) -> tuple[SubspaceNetwork, list[TraceLog]]:
     """Grow a network up to ``depth`` layers by greedy one-pass training.
 
-    Layer 0 trains on the raw features; each later layer trains on the
-    previous layer's predictions (wired per ``skip_mode``) against the
-    original targets, and is frozen once trained. Without calibration every
-    layer trains with the noise scales ``sigma`` (default 1).
+    Layer 0 trains on the raw features; each later layer trains on
+    ``[previous prediction; raw features]`` against the original targets,
+    and is frozen once trained. Without calibration every layer trains with
+    the noise scales ``sigma`` (default 1).
 
     With ``calibrate`` on, layer k >= 1 instead weights the tasks by the
-    noise scales ``s_t`` estimated from layer k-1's pre-activation residuals
-    (``residual_set`` selects which samples enter the estimate). Calibration
-    only redistributes weight among the tasks in the shared sketch: the
-    layer trains at the uniform scale ``s0`` whose curvature ``1/s0^2`` is
-    the mean over tasks of ``1/sigma^2``, on targets whitened per task by
+    noise scales ``s_t`` that `calibrate_sigma` estimates from layer k-1's
+    pre-activation residuals. Calibration only redistributes weight among
+    the tasks in the shared sketch: the layer trains at the uniform scale
+    ``s0`` whose curvature ``1/s0^2`` is the mean over tasks of
+    ``1/sigma^2``, on targets whitened per task by
     ``c_t = s_ref / s_t`` with ``s_ref`` chosen so that ``mean_t c_t^2 = 1``.
     Task t then enters the sketch with relative weight ``c_t^2``, its own
     basis row keeps the step dynamics of an uncalibrated layer, and the
@@ -207,7 +187,7 @@ def expand(data: Dataset, depth: int, cfg: TrainConfig, calibrate: bool = False,
 
     Stacked-layer inputs are standardized for conditioning: the skip block
     to unit root-mean-square entry scale and the prediction block to
-    ``pred_scale`` (a small value stops the optimizer from leaning on the
+    ``PRED_SCALE`` (a small value stops the optimizer from leaning on the
     lossy ReLU'd predictions before it has exploited the raw features).
     Every layer trains on its inputs divided per column by ``cols`` (all
     ones at layer 0) and its targets whitened per task by ``rows`` (all ones
@@ -227,11 +207,6 @@ def expand(data: Dataset, depth: int, cfg: TrainConfig, calibrate: bool = False,
     """
     if depth < 1:
         raise InvalidArgumentError(f"depth must be >= 1, got {depth}")
-    if skip_mode not in SKIP_MODES:
-        raise InvalidArgumentError(
-            f"skip_mode must be one of {SKIP_MODES}, got {skip_mode!r}")
-    if pred_scale <= 0:
-        raise InvalidArgumentError(f"pred_scale must be positive, got {pred_scale}")
 
     t = data.t
     sigma_k = noise = _noise_scales(sigma, t)
@@ -263,14 +238,13 @@ def expand(data: Dataset, depth: int, cfg: TrainConfig, calibrate: bool = False,
                 # calibration contributes relative task weighting only: whiten
                 # the targets so the task weights c_t^2 average one, and train
                 # at the uniform scale carrying the mean uncalibrated weight
-                noise = calibrate_sigma(layer, Dataset(X=inputs, Y=data.Y),
-                                        residual_set=residual_set).sigma
+                noise = calibrate_sigma(layer, Dataset(X=inputs, Y=data.Y)).sigma
                 rows = 1.0 / (noise * np.sqrt(np.mean(noise ** -2.0)))
                 targets = data.Y * rows
                 sigma_k = 1.0 / np.sqrt(np.mean(layers[0].sigma ** -2.0))
-            inputs = _layer_inputs(skip_mode, h, data.X)
-            cols = _layer_inputs(skip_mode, np.full(t, _rms(h) / pred_scale), skip_cols)
-    return SubspaceNetwork(layers=layers, skip_mode=skip_mode), traces
+            inputs = np.concatenate([h, data.X], axis=1)
+            cols = np.concatenate([np.full(t, _rms(h) / PRED_SCALE), skip_cols])
+    return SubspaceNetwork(layers=layers), traces
 
 
 def _pack_matrix(m: np.ndarray) -> bytes:
@@ -280,7 +254,8 @@ def _pack_matrix(m: np.ndarray) -> bytes:
 def save_model(net: SubspaceNetwork, path):
     """Write a network to ``path`` in the versioned binary format.
 
-    Layout (little-endian): magic ``SSNW``; u32 version; u8 skip mode;
+    Layout (little-endian): magic ``SSNW``; u32 version; u8 skip mode
+    (0, ``concat``, the only value: `load_model` rejects any other byte);
     u32 input dim, task dim, depth; then per layer u32 d_in, t_out, r,
     f64 lam, the sigma vector, and the row-major f64 U and V matrices;
     finally the CRC32 (u32) of everything after the magic. The file is

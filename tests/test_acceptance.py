@@ -204,7 +204,7 @@ class TestCriterion4DepthHelpsThenPlateaus:
             data, _ = gen_deep(sigma=1.0, depth=2, seed=seed + 3000, **DESK)
             train, valid = split(data, 0.8, seed=seed)
             cfg, sigma0 = scaled_config(train.Y, rank=5, seed=seed)
-            net, _ = expand(train, 10, cfg, sigma=sigma0, pred_scale=0.1)
+            net, _ = expand(train, 10, cfg, sigma=sigma0)
             curves.append([
                 anmse(valid.Y, forward_batch(net, valid.X, upto=min(k, net.depth)))
                 for k in range(1, 11)])
@@ -248,8 +248,7 @@ class TestCriterion6CalibrationHelps:
             train, _ = split(data, 0.8, seed=seed)
             cfg, sigma0 = scaled_config(train.Y, rank=5, seed=seed)
             layer, _ = train_layer(train, cfg, sigma=sigma0)
-            rep = calibrate_sigma(layer, Dataset(X=train.X, Y=train.Y),
-                                  residual_set="uncensored")
+            rep = calibrate_sigma(layer, Dataset(X=train.X, Y=train.Y))
             agree = total = 0
             for a in range(data.t):
                 for b in range(a + 1, data.t):
@@ -279,7 +278,6 @@ class TestCriterion6CalibrationHelps:
             result = {}
             for calibrate in (False, True):
                 net, _ = expand(train, 6, cfg, calibrate=calibrate, sigma=sigma0,
-                                residual_set="uncensored", pred_scale=0.1,
                                 stop_on_degrade=False)
                 result[calibrate] = anmse(valid.Y, forward_batch(net, valid.X))
             rows.append((result[False], result[True]))

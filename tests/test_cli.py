@@ -5,16 +5,25 @@ import io
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
+from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import subspace_net
 from subspace_net.cli import main
-from subspace_net.config import load_config, validate_config_dict
+from subspace_net.config import (
+    DataConfig,
+    ExperimentConfig,
+    TrainSection,
+    load_config,
+    validate_config_dict,
+)
 from subspace_net.data import gen_single_layer, load_csv, save_csv
 from subspace_net.errors import ConfigError
 from subspace_net.experiments import _trace_csv
@@ -144,12 +153,13 @@ PROBLEM_TABLE = [
     ({"depth": "3"}, (), ["$.depth: must be a number, got str"]),
     ({"depth": True}, (), ["$.depth: must be a number, got bool"]),
     ({"depth": None}, (), ["$.depth: must be a number, got NoneType"]),
-    ({"pred_scale": 0}, (), ["$.pred_scale: must be > 0.0, got 0"]),
+    # keys of retired network knobs are unknown like any other
+    ({"pred_scale": 0}, (), ["$.pred_scale: unknown key"]),
+    ({"skip_mode": "concat"}, (), ["$.skip_mode: unknown key"]),
+    ({"residual_set": "uncensored"}, (), ["$.residual_set: unknown key"]),
     ({"ridge_lambda": -1}, (), ["$.ridge_lambda: must be >= 0.0, got -1"]),
     ({"ridge_lambda": 0}, (), []),
     # choice and boolean keys
-    ({"skip_mode": "deep"}, (), ["$.skip_mode: must be 'concat' or 'naive'"]),
-    ({"residual_set": "some"}, (), ["$.residual_set: must be 'all' or 'uncensored'"]),
     ({"calibrate": 1}, (), ["$.calibrate: must be a boolean"]),
     ({"include_baselines": "yes"}, (), ["$.include_baselines: must be a boolean"]),
     ({"save_models": None}, (), ["$.save_models: must be a boolean"]),
@@ -269,8 +279,8 @@ NEW_REJECTIONS = [
      ["train.eta: must be finite, got nan", "train.mu: must be finite, got inf",
       "$.ridge_lambda: must be finite, got nan",
       "data.sigma: must be finite, got inf"]),
-    ({"depth": -math.inf, "pred_scale": math.nan}, (),
-     ["$.depth: must be finite, got -inf", "$.pred_scale: must be finite, got nan"]),
+    ({"depth": -math.inf, "data": {"sigma": math.nan}}, (),
+     ["$.depth: must be finite, got -inf", "data.sigma: must be finite, got nan"]),
     ({"train": {"lambda": math.nan, "init_scale": math.inf,
                 "step_offset": math.nan, "sigma_scale": math.inf}}, (),
      ["train.lambda: must be finite, got nan",
@@ -302,6 +312,17 @@ def test_every_present_key_is_checked(overrides, dropped, expected):
 
 def test_non_object_config():
     assert validate_config_dict([1]) == ["$: config must be a JSON object"]
+
+
+def test_schema_docstring_quotes_every_key_once():
+    # the module docstring states the schema by hand; each JSON member it
+    # quotes must be a key the validator reads, and each such key quoted
+    quoted = re.findall(r'(?:^|[{,])\s*"(\w+)":', subspace_net.config.__doc__,
+                        flags=re.M)
+    keys = ["schema_version"] + [
+        f.metadata.get("key") or f.name
+        for cls in (ExperimentConfig, DataConfig, TrainSection) for f in fields(cls)]
+    assert Counter(quoted) == Counter(keys)
 
 
 class TestRun:
@@ -651,6 +672,18 @@ class TestPredict:
         save_csv(data, fx, tmp_path / "unused.csv")
         assert main(["predict", "--model", str(model),
                      "--features", str(fx), "--out", str(tmp_path / "p.csv")]) == 2
+
+    def test_predict_naive_model_exit_2(self, tmp_path, capsys):
+        from test_network import write_naive_model
+        model = tmp_path / "model.ssnw"
+        write_naive_model(model, t=3, d=4)
+        data, _ = gen_single_layer(5, 4, 3, 1, 1.0, seed=6)
+        fx = tmp_path / "feat.csv"
+        save_csv(data, fx, tmp_path / "unused.csv")
+        assert main(["predict", "--model", str(model),
+                     "--features", str(fx), "--out", str(tmp_path / "p.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {model}: unknown skip mode byte 1\n"
+        assert not (tmp_path / "p.csv").exists()
 
     def test_predict_non_utf8_features_exit_2(self, tmp_path, capsys):
         from test_network import make_net

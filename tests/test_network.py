@@ -30,17 +30,30 @@ def make_layer(rng, t, d_in, r=2, sigma=1.0):
                          sigma=np.full(t, sigma), lam=0.0)
 
 
-def make_net(rng, depth=2, t=3, d=4, skip_mode="concat"):
+def make_net(rng, depth=2, t=3, d=4):
     layers = [make_layer(rng, t, d)]
-    d_in = t + d if skip_mode == "concat" else t
     for _ in range(depth - 1):
-        layers.append(make_layer(rng, t, d_in))
-    return SubspaceNetwork(layers=layers, skip_mode=skip_mode)
+        layers.append(make_layer(rng, t, t + d))
+    return SubspaceNetwork(layers=layers)
 
 
 # defect -> (d_in, t_out, r) of a one-layer file
 EMPTY_DIMENSIONS = {"zero_rank": (4, 3, 0), "zero_tasks": (4, 0, 2),
                     "zero_inputs": (0, 3, 2)}
+
+
+def write_naive_model(path, t=3, d=4):
+    """Write a two-layer model file with a valid checksum in the shape that
+    the retired ``naive`` wiring saved: skip-mode byte 1, and a layer 1 that
+    reads the T predictions only."""
+    import struct
+    import zlib
+    rng = np.random.default_rng(26)
+    body = struct.pack("<IBIII", 1, 1, d, t, 2)
+    for layer in (make_layer(rng, t, d), make_layer(rng, t, t)):
+        body += struct.pack("<IIId", layer.d_in, layer.t_out, layer.r, layer.lam)
+        body += b"".join(m.astype("<f8").tobytes() for m in (layer.sigma, layer.U, layer.V))
+    path.write_bytes(b"SSNW" + body + struct.pack("<I", zlib.crc32(body)))
 
 
 def write_invalid_model(path, defect):
@@ -117,13 +130,6 @@ class TestForward:
         x = rng.standard_normal(4)
         np.testing.assert_array_equal(forward(net, x), forward(net, x))
 
-    def test_naive_mode_consumes_predictions_only(self):
-        rng = np.random.default_rng(5)
-        net = make_net(rng, depth=2, skip_mode="naive")
-        assert net.layers[1].d_in == 3
-        out = forward(net, rng.standard_normal(4))
-        assert out.shape == (3,)
-
 
 class TestNetworkInvariants:
     def test_dimension_chain_checked(self):
@@ -138,15 +144,22 @@ class TestNetworkInvariants:
 
 
 class TestCalibrateSigma:
-    def test_residual_formula_all_samples(self):
+    def test_residual_formula_positive_targets(self):
         rng = np.random.default_rng(7)
         data, _ = gen_single_layer(50, 6, 4, 2, 1.0, seed=0)
         layer = make_layer(rng, t=4, d_in=6)
-        report = calibrate_sigma(layer, data, residual_set="all")
+        report = calibrate_sigma(layer, data)
         preds = data.X @ layer.V.T @ layer.U.T
-        expected = np.sqrt(np.mean((data.Y - preds) ** 2, axis=0))
+        expected = []
+        for t in range(4):
+            positive = data.Y[:, t] > 0
+            # every task mixes positive and censored targets
+            assert 0 < positive.sum() < data.n
+            expected.append(np.sqrt(np.mean((data.Y[positive, t] - preds[positive, t]) ** 2)))
         np.testing.assert_allclose(report.sigma, np.clip(expected, 1e-2, 1e2),
                                    rtol=1e-12)
+        np.testing.assert_array_equal(report.n_used, (data.Y > 0).sum(axis=0))
+        assert not report.fallback.any()
 
     def test_perfect_fit_clamps_to_floor(self):
         rng = np.random.default_rng(8)
@@ -156,7 +169,7 @@ class TestCalibrateSigma:
         y = np.abs(y_lin) + 1.0  # keep targets positive
         # rebuild a layer that maps exactly onto y: use y = preds by construction
         data = Dataset(X=x, Y=np.maximum(y_lin, 0.0))
-        report = calibrate_sigma(layer, data, residual_set="uncensored")
+        report = calibrate_sigma(layer, data)
         # uncensored rows match predictions exactly, so raw sigma ~ 0 -> floor
         assert np.all(report.sigma >= 1e-2)
         assert report.clamped_low.any()
@@ -169,23 +182,19 @@ class TestCalibrateSigma:
         # everywhere, so it falls back to every sample
         y = np.array([[0.0, 0.0], [1.5, 0.0], [2.5, 0.0]])
         data = Dataset(X=x, Y=y)
-        rep_all = calibrate_sigma(layer, data, residual_set="all")
-        rep_unc = calibrate_sigma(layer, data, residual_set="uncensored")
-        np.testing.assert_allclose(rep_unc.sigma[0], 0.5, rtol=1e-12)
-        assert rep_all.sigma[0] > rep_unc.sigma[0]
-        assert rep_unc.n_used[0] == 2
-        np.testing.assert_array_equal(rep_unc.fallback, [False, True])
-        assert rep_unc.n_used[1] == 3
-        np.testing.assert_allclose(rep_unc.sigma[1], np.sqrt(10.0), rtol=1e-12)
-        assert rep_unc.sigma[1] == rep_all.sigma[1]
-        assert not rep_all.fallback.any()
+        rep = calibrate_sigma(layer, data)
+        np.testing.assert_allclose(rep.sigma[0], 0.5, rtol=1e-12)
+        assert rep.n_used[0] == 2
+        np.testing.assert_array_equal(rep.fallback, [False, True])
+        assert rep.n_used[1] == 3
+        np.testing.assert_allclose(rep.sigma[1], np.sqrt(10.0), rtol=1e-12)
 
     def test_heteroscedastic_rank_agreement(self):
         data, truth = gen_heteroscedastic(3000, 30, 12, 3, [0.5, 3.0], seed=3)
         cfg = TrainConfig(rank=3, seed=0, v_inner_steps=8)
         sigma0 = 0.1 * float(np.sqrt(np.mean(data.Y ** 2)))
         layer, _ = train_layer(data, cfg, sigma=sigma0)
-        report = calibrate_sigma(layer, data, residual_set="uncensored")
+        report = calibrate_sigma(layer, data)
         agree = total = 0
         for s in range(12):
             for t in range(s + 1, 12):
@@ -242,15 +251,11 @@ class TestExpand:
         assert net.layers[0].d_in == 6
         assert net.layers[1].d_in == 10
         assert net.layers[2].d_in == 10
-        naive, _ = expand(data, 3, TrainConfig(rank=2, seed=17), skip_mode="naive",
-                          stop_on_degrade=False)
-        assert naive.layers[1].d_in == 4
 
     def test_calibrated_sigma_installed_into_next_layer(self):
         data, _ = gen_single_layer(60, 6, 4, 2, 1.0, seed=18)
         cfg = TrainConfig(rank=2, seed=19)
-        net, _ = expand(data, 2, cfg, calibrate=True, residual_set="uncensored",
-                        stop_on_degrade=False)
+        net, _ = expand(data, 2, cfg, calibrate=True, stop_on_degrade=False)
         base, _ = expand(data, 2, cfg, calibrate=False, stop_on_degrade=False)
         assert not np.allclose(net.layers[1].sigma, base.layers[1].sigma)
         np.testing.assert_array_equal(base.layers[1].sigma, np.ones(4))
@@ -265,7 +270,7 @@ class TestExpand:
         cfg = TrainConfig(eta=1.74e-5 * s, mu=1.74e-4 * s, lam=1e-3, rank=3,
                           v_inner_steps=8, seed=1, init_scale=max(1.0, np.sqrt(s / 11.5)))
         net, _ = expand(data, 5, cfg, calibrate=True, sigma=0.1 * s,
-                        residual_set="uncensored", stop_on_degrade=False)
+                        stop_on_degrade=False)
         assert net.depth == 5
         for layer in net.layers[1:]:
             assert layer.sigma.max() <= 3.0 * truth.sigma.max()
@@ -349,6 +354,17 @@ class TestModelFile:
         path.write_bytes(bytes(blob))
         with pytest.raises(ModelVersionError):
             load_model(path)
+
+    def test_naive_skip_mode_byte_rejected(self, tmp_path):
+        # byte 1 named the retired predictions-only wiring; a file that
+        # carries it, well formed otherwise, describes no network
+        path = tmp_path / "model.ssnw"
+        write_naive_model(path)
+        with pytest.raises(ModelFormatError, match=r"^unknown skip mode byte 1$"):
+            load_model(path)
+        with pytest.raises(InvalidArgumentError):
+            SubspaceNetwork(layers=[make_layer(np.random.default_rng(0), 3, 4)],
+                            skip_mode="naive")
 
     @pytest.mark.parametrize("defect, cause", [
         ("zero_depth", EmptyInputError),
