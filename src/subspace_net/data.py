@@ -1,9 +1,10 @@
 """Planted synthetic generators, strict CSV ingestion, seeded splitting,
 and the package's file writers.
 
-Numeric CSV is read and written a row per step: a record whose cells all
-pass one whole-row check is stored as a float64 row at once, and only a
-record that fails it is walked cell by cell to name its first bad cell.
+A plain numeric CSV file (an unquoted header line, then lines of ASCII
+numbers and commas) is read by numpy in one call; every other file is
+walked a record at a time with the cell rules, which name each bad cell.
+Numeric CSV is written one formatted line per row.
 
 All generators draw from named substreams of one seed (one substream per
 matrix), so adding a new matrix later cannot perturb earlier draws and a
@@ -200,9 +201,9 @@ def _csv_records(path):
 
 
 def _cell_values(raw, where: str, nonnegative: bool):
-    """The per-cell rules, for a record that `parse_numeric_csv`'s row check
-    did not accept: ``(values, None)``, or ``(None, problem)`` naming the
-    record's first bad cell. ``where`` is its ``path:line``."""
+    """The cell rules, for one record of a file that is not plain (see
+    `parse_numeric_csv`): ``(values, None)``, or ``(None, problem)`` naming
+    the record's first bad cell. ``where`` is its ``path:line``."""
     values = []
     for col, tok in enumerate(raw, start=1):
         tok = tok.strip()
@@ -223,6 +224,56 @@ def _cell_values(raw, where: str, nonnegative: bool):
     return values, None
 
 
+# the bytes a data line of a plain file holds, besides the "\r" of a "\r\n"
+_PLAIN_BYTES = b"0123456789+-.eE,\n"
+
+
+def _plain_table(path, nonnegative: bool):
+    """``(header, matrix)`` of a plain file whose every value passes the
+    cell rules; None for any other file.
+
+    A file is plain when its header is one UTF-8 line with no ``"`` or
+    ``\\r`` in it, and every later line is made of `_PLAIN_BYTES`, ends in
+    ``\\n``, ``\\r\\n`` or the end of the file, is not blank, and holds at
+    most `csv.field_size_limit()` bytes. `csv.reader` and `np.loadtxt` split
+    such a file into the same cells. It is checked in blocks of about 64 KiB,
+    then read by `np.loadtxt` in one call; numpy converts each number with
+    the routine behind ``float``, so the values are those of the cell rules.
+    """
+    limit = csv.field_size_limit()
+    with open(path, "rb") as fh:
+        first = fh.readline(limit + 1)
+        names = first[:-2] if first.endswith(b"\r\n") else first.removesuffix(b"\n")
+        if not names or len(first) > limit or b'"' in names or b"\r" in names:
+            return None
+        try:
+            header = names.decode("utf-8").split(",")
+        except UnicodeDecodeError:
+            return None
+        rows = 0
+        while lines := fh.readlines(1 << 16):
+            crlf = sum(line.endswith(b"\r\n") for line in lines)
+            if (b"".join(lines).translate(None, _PLAIN_BYTES) != b"\r" * crlf
+                    or b"\n" in lines or b"\r\n" in lines
+                    or max(map(len, lines)) > limit):
+                return None
+            rows += len(lines)
+    if not rows:
+        return None
+    try:
+        # an open handle, not a path: numpy's path opener loads gzip; and
+        # max_rows, so numpy allocates the matrix once instead of growing it
+        with open(path, encoding="utf-8") as fh:
+            matrix = np.loadtxt(fh, dtype=np.float64, delimiter=",", skiprows=1,
+                                comments=None, ndmin=2, max_rows=rows)
+    except ValueError:
+        return None
+    if (matrix.shape != (rows, len(header)) or not np.isfinite(matrix).all()
+            or (nonnegative and (matrix < 0).any())):
+        return None
+    return header, matrix
+
+
 def parse_numeric_csv(path, *, nonnegative: bool = False):
     """Read one strict CSV: header row, every cell a finite plain ASCII
     decimal number (no ``_`` digit grouping).
@@ -231,14 +282,16 @@ def parse_numeric_csv(path, *, nonnegative: bool = False):
     with its location, and a file that is not UTF-8 text, or whose header
     row is empty, is rejected too.
 
-    Records are read one at a time and checked a row per step: a record of
-    the header's width whose cells are ASCII without ``_``, all convert
-    with ``float``, are all finite (and, with ``nonnegative``, none below
-    zero) goes straight into the float64 matrix. Any other record goes
-    through `_cell_values`, which applies the rules cell by cell and
-    reports the first bad one; it also accepts cells that only
-    ``str.strip`` clears, such as a trailing ``\\x1f``.
+    A plain file (see `_plain_table`) whose values all pass is read by
+    numpy in one call. Every other file is walked a record at a time, and
+    `_cell_values` applies the rules to each cell of each record: it names
+    every bad record's first bad cell, and accepts the forms a plain file
+    cannot hold, such as quoted cells, lone ``\\r`` line ends, and cells
+    that only ``str.strip`` clears (``" 1"``, a trailing ``\\x1f``).
     """
+    plain = _plain_table(path, nonnegative)
+    if plain is not None:
+        return plain
     problems = []
     flat = array("d")
     records = _csv_records(path)
@@ -252,21 +305,11 @@ def parse_numeric_csv(path, *, nonnegative: bool = False):
         if len(raw) != width:
             problems.append(f"{path}:{line_no}: expected {width} cells, got {len(raw)}")
             continue
-        joined = "".join(raw)
-        try:
-            if "_" in joined or not joined.isascii():
-                raise ValueError
-            row = list(map(float, raw))
-            # a non-finite value makes the sum non-finite; an overflowing
-            # sum of finite values only sends the row to the cell rules
-            if not math.isfinite(sum(row)) or (nonnegative and min(row) < 0):
-                raise ValueError
-        except ValueError:
-            row, problem = _cell_values(raw, f"{path}:{line_no}", nonnegative)
-            if problem is not None:
-                problems.append(problem)
-                continue
-        flat.extend(row)
+        row, problem = _cell_values(raw, f"{path}:{line_no}", nonnegative)
+        if problem is None:
+            flat.extend(row)
+        else:
+            problems.append(problem)
     if problems:
         raise ParseError("rejected rows:\n" + "\n".join(problems))
     if not flat:

@@ -91,16 +91,14 @@ def aligned_subspace_difference(reference: np.ndarray,
     Equivalently, the fraction of the reference not captured by the
     candidate's column space. Invariant to invertible remixing of the
     candidate's columns, so it measures recovery of the subspace itself.
-    The stack takes one Householder QR and forms ``reference - Q Q^T
-    reference``; a candidate whose R has a diagonal entry below 1e-8 times
-    its largest is (near) rank deficient and takes ``lstsq``'s cutoff.
-    That branch is not bit-exactly invariant under power-of-two scaling
-    when the candidate's largest entry lies outside about [2e-292, 5e291],
-    because LAPACK then rescales by factors of its own; its values stay
-    accurate.
+    The stack, each candidate scaled by a power of two, takes one
+    Householder QR and forms ``reference - Q Q^T reference``; a candidate
+    whose R has a diagonal entry below 1e-8 times its largest is (near)
+    rank deficient and takes ``lstsq``'s cutoff.
     """
     reference, stack, single = _subspace_inputs(reference, candidate, same_shape=False)
     reference, _ = _scaled(reference)
+    stack, _ = _scaled(stack, axis=(1, 2))
     q, r = np.linalg.qr(stack)
     resid = reference - q @ (q.transpose(0, 2, 1) @ reference)
     norms = np.linalg.norm(resid, axis=(1, 2))

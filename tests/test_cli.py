@@ -27,8 +27,8 @@ from subspace_net.config import (
 from subspace_net.data import gen_single_layer, load_csv, save_csv
 from subspace_net.errors import ConfigError
 from subspace_net.experiments import _trace_csv
-from subspace_net.layer import TraceLog
-from subspace_net.network import load_model, save_model
+from subspace_net.layer import SubspaceLayer, TraceLog
+from subspace_net.network import SubspaceNetwork, forward_batch, load_model, save_model
 
 
 def write_config(tmp_path, **overrides):
@@ -650,6 +650,32 @@ class TestPredict:
         assert preds.shape == (10, 4)
         assert np.all(preds >= 0)
 
+    def test_written_files_load_without_the_cell_rules(self, tmp_path, monkeypatch):
+        # save_csv and ssn predict write plain files, which numpy reads in one
+        # call; a fallback to the record walk would give the same values,
+        # only slowly, so the cell rules are made to fail here
+        rng = np.random.default_rng(7)
+        net = SubspaceNetwork(layers=[SubspaceLayer(
+            U=rng.standard_normal((4, 2)), V=rng.standard_normal((2, 8)),
+            sigma=np.ones(4))])
+        save_model(net, tmp_path / "m.ssnw")
+        data, _ = gen_single_layer(30, 8, 4, 2, 1.0, seed=5)
+        data.Y[0, 0] = -0.0
+        fx, fy, out = tmp_path / "feat.csv", tmp_path / "targ.csv", tmp_path / "p.csv"
+        save_csv(data, fx, fy)
+        assert main(["predict", "--model", str(tmp_path / "m.ssnw"),
+                     "--features", str(fx), "--out", str(out)]) == 0
+
+        def no_cell_rules(*args):
+            raise AssertionError("a written file went to the cell rules")
+
+        monkeypatch.setattr(subspace_net.data, "_cell_values", no_cell_rules)
+        back = load_csv(fx, fy)
+        assert back.X.tobytes() == data.X.tobytes()
+        assert back.Y.tobytes() == data.Y.tobytes()
+        _, preds = subspace_net.data.parse_numeric_csv(out, nonnegative=True)
+        assert preds.tobytes() == forward_batch(net, data.X).tobytes()
+
     def test_predict_dimension_mismatch(self, tmp_path):
         cfg_path = write_config(
             tmp_path, experiment="single_layer_recovery", fractions=None,
@@ -730,10 +756,15 @@ net = network.SubspaceNetwork(layers=[layer.SubspaceLayer(
 network.save_model(net, model)
 with open(features, "w") as fh:
     fh.write("a,b,c\\n1,2,3\\n4,5,6\\n")
+# `import numpy` loads bz2 and lzma itself (through shutil), but not gzip
+compressors = {"gzip", "bz2", "lzma"}
+before = compressors & set(sys.modules)
+assert "gzip" not in before, before
 assert cli.main(["predict", "--model", model, "--features", features,
                  "--out", out]) == 0
 loaded = [m for m in sys.modules if m.startswith("scipy")]
 assert loaded == [], loaded
+assert compressors & set(sys.modules) == before, sys.modules.keys() & compressors
 
 train, _ = data.gen_single_layer(5, 3, 2, 1, 1.0, seed=0)
 layer.train_layer(train, layer.TrainConfig(rank=1, v_inner_steps=1))
@@ -746,7 +777,8 @@ assert "scipy.linalg" not in sys.modules
 def test_validate_and_predict_never_import_scipy(tmp_path):
     # importing the package, `ssn validate` and `ssn predict` run no SciPy
     # routine, so they must not pay for loading it; training loads only
-    # scipy.special (the censored kernels), and the ridge baselines none
+    # scipy.special (the censored kernels), and the ridge baselines none.
+    # `ssn predict` reads no compressed file, so it loads no decompressor
     src = os.path.dirname(os.path.dirname(os.path.abspath(subspace_net.__file__)))
     config = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                           "configs", "depth_sweep.json")

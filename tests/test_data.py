@@ -256,41 +256,43 @@ class TestCsvRoundTrip:
 
 
 def cell_by_cell_parse(path, *, nonnegative=False):
-    """The reader as it was before the row check: every cell of every
-    record converted and checked on its own. The oracle for
-    `parse_numeric_csv`."""
+    """The reader with no plain-file tier: every cell of every record
+    converted and checked on its own. The oracle for `parse_numeric_csv`."""
     problems = []
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         records = csv.reader(fh)
-        header = next(records)
-        width = len(header)
-        for line_no, raw in enumerate(records, start=2):
-            if len(raw) != width:
-                problems.append(f"{path}:{line_no}: expected {width} cells, got {len(raw)}")
-                continue
-            row = np.empty(width)
-            for col, tok in enumerate(raw, start=1):
-                tok = tok.strip()
-                if tok == "":
-                    problems.append(f"{path}:{line_no}:{col}: missing cell")
-                    break
-                try:
-                    if "_" in tok or not tok.isascii():
-                        raise ValueError(tok)
-                    val = float(tok)
-                except ValueError:
-                    problems.append(f"{path}:{line_no}:{col}: non-numeric cell {tok!r}")
-                    break
-                if not math.isfinite(val):
-                    problems.append(f"{path}:{line_no}:{col}: non-finite cell {tok!r}")
-                    break
-                if nonnegative and val < 0:
-                    problems.append(f"{path}:{line_no}:{col}: negative target {tok!r}")
-                    break
-                row[col - 1] = val
-            else:
-                rows.append(row)
+        try:
+            header = next(records)
+            width = len(header)
+            for line_no, raw in enumerate(records, start=2):
+                if len(raw) != width:
+                    problems.append(f"{path}:{line_no}: expected {width} cells, got {len(raw)}")
+                    continue
+                row = np.empty(width)
+                for col, tok in enumerate(raw, start=1):
+                    tok = tok.strip()
+                    if tok == "":
+                        problems.append(f"{path}:{line_no}:{col}: missing cell")
+                        break
+                    try:
+                        if "_" in tok or not tok.isascii():
+                            raise ValueError(tok)
+                        val = float(tok)
+                    except ValueError:
+                        problems.append(f"{path}:{line_no}:{col}: non-numeric cell {tok!r}")
+                        break
+                    if not math.isfinite(val):
+                        problems.append(f"{path}:{line_no}:{col}: non-finite cell {tok!r}")
+                        break
+                    if nonnegative and val < 0:
+                        problems.append(f"{path}:{line_no}:{col}: negative target {tok!r}")
+                        break
+                    row[col - 1] = val
+                else:
+                    rows.append(row)
+        except csv.Error as exc:
+            raise ParseError(f"{path}:{records.line_num}: {exc}") from exc
     if problems:
         raise ParseError("rejected rows:\n" + "\n".join(problems))
     if not rows:
@@ -298,13 +300,15 @@ def cell_by_cell_parse(path, *, nonnegative=False):
     return header, np.vstack(rows)
 
 
-# odd cells reach every rule of the reader: "1e308" pairs overflow a row sum
-# of finite values, and "\x1c"-"\x1f" are stripped by str.strip but not by
-# float()
+# odd cells reach every rule of the reader: "1e308" pairs are finite values
+# whose sum overflows, and "\x1c"-"\x1f" are stripped by str.strip but not
+# by float()
 ODD_CORES = ["-0", "1e308", "-1e308", "5e-324", "1_0", "1_000.5",
              "\u0661\u0662", "\uff11", "nan", "-inf", "Infinity", "1e309", "",
              "x", "0x10", "1e", "."]
 PADDING = ["", " ", "\t", "\x1c", "\x1d", "\x1e", "\x1f", "\xa0", "\u2003"]
+# a plain, finite field one byte longer than csv's field limit
+LONG_FIELD = "0" * (csv.field_size_limit() + 1)
 plain_cells = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.floats(min_value=0.0, allow_infinity=False).map(repr),
@@ -315,43 +319,87 @@ odd_cells = st.one_of(
               st.sampled_from(PADDING)).map("".join))
 
 
+def rarely(draw):
+    """True for about one draw in eight."""
+    return draw(st.integers(0, 7)) == 0
+
+
 @st.composite
 def numeric_tables(draw):
-    """A header of 1-4 columns and up to 6 records of plain decimals, some
-    of the wrong width, with up to two odd cells dropped into each."""
+    """The text of a CSV file: a header of 1-4 columns and up to 6 records
+    of plain decimals. In half the files some records have the wrong width
+    and up to two odd cells are dropped into each record. Lines end in LF or in CRLF. Now
+    and then a file also holds a form that only the cell rules read: a
+    quoted or non-ASCII header name, a quoted cell, a field longer than the
+    field limit, a blank line, a lone CR ending a line."""
     width = draw(st.integers(1, 4))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    odd = draw(st.booleans())
+    header = [f"c{j}" for j in range(width)]
+    if rarely(draw):
+        header[draw(st.integers(0, width - 1))] = draw(st.sampled_from(['"c,0"', "\u00e90"]))
     records = []
     for _ in range(draw(st.integers(0, 6))):
-        size = draw(st.sampled_from([width, width, width, width - 1, width + 1]))
+        size = draw(st.sampled_from([width, width, width, width - 1, width + 1])
+                    if odd else st.just(width))
         record = draw(st.lists(plain_cells, min_size=size, max_size=size))
-        for _ in range(draw(st.integers(0, 2)) if record else 0):
+        for _ in range(draw(st.integers(0, 2)) if record and odd else 0):
             record[draw(st.integers(0, size - 1))] = draw(odd_cells)
         records.append(record)
-    return width, records
+    if any(records) and rarely(draw):
+        record = draw(st.sampled_from([r for r in records if r]))
+        at = draw(st.integers(0, len(record) - 1))
+        record[at] = draw(st.sampled_from([f'"{record[at]}"', LONG_FIELD]))
+    lines = [",".join(header)] + [",".join(record) for record in records]
+    if rarely(draw):
+        lines.insert(draw(st.integers(1, len(lines))), "")
+    ends = [newline] * len(lines)
+    if rarely(draw):
+        ends[draw(st.integers(0, len(lines) - 1))] = "\r"
+    if rarely(draw):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
 
 
-class TestRowCheckMatchesCellRules:
+def assert_reads_as_cell_rules(path, text, nonnegative):
+    """``parse_numeric_csv`` of ``text`` gives the oracle's header and matrix
+    bytes, or its ParseError text."""
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        expected = cell_by_cell_parse(path, nonnegative=nonnegative)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as excinfo:
+            parse_numeric_csv(path, nonnegative=nonnegative)
+        assert str(excinfo.value) == str(exc)
+        return
+    header, matrix = parse_numeric_csv(path, nonnegative=nonnegative)
+    assert header == expected[0]
+    assert matrix.dtype == np.float64
+    assert matrix.shape == expected[1].shape
+    assert matrix.tobytes() == expected[1].tobytes()
+
+
+class TestReaderMatchesCellRules:
     @settings(max_examples=400,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(table=numeric_tables(), nonnegative=st.booleans())
-    def test_same_matrix_or_same_message(self, tmp_path, table, nonnegative):
-        width, records = table
-        path = tmp_path / "table.csv"
-        lines = [",".join(f"c{j}" for j in range(width))]
-        lines += [",".join(record) for record in records]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        try:
-            expected = cell_by_cell_parse(path, nonnegative=nonnegative)
-        except ParseError as exc:
-            with pytest.raises(ParseError) as excinfo:
-                parse_numeric_csv(path, nonnegative=nonnegative)
-            assert str(excinfo.value) == str(exc)
-            return
-        header, matrix = parse_numeric_csv(path, nonnegative=nonnegative)
-        assert header == expected[0]
-        assert matrix.dtype == np.float64
-        assert matrix.shape == expected[1].shape
-        assert matrix.tobytes() == expected[1].tobytes()
+    @given(text=numeric_tables(), nonnegative=st.booleans())
+    def test_same_matrix_or_same_message(self, tmp_path, text, nonnegative):
+        assert_reads_as_cell_rules(tmp_path / "table.csv", text, nonnegative)
+
+    # files of plain-looking bytes that np.loadtxt reads otherwise than
+    # csv.reader, each caught by one condition of the plain tier
+    @pytest.mark.parametrize("text", [
+        pytest.param('"a"\n1\n', id="quoted-header"),
+        pytest.param("a\r\r\n1\n", id="cr-in-header"),
+        pytest.param("a,b\n1\n2\n", id="narrow-rows"),
+        pytest.param("a\n1\r\r\n", id="lone-cr"),
+        pytest.param("a\n1\n\n2\n", id="blank-line"),
+        pytest.param("a\n" + LONG_FIELD + "\n", id="long-field"),
+        pytest.param("a\n1e309\n", id="overflow"),
+        pytest.param("a\n-1\n", id="negative")])
+    @pytest.mark.parametrize("nonnegative", [False, True])
+    def test_near_plain_file(self, tmp_path, text, nonnegative):
+        assert_reads_as_cell_rules(tmp_path / "table.csv", text, nonnegative)
 
     def test_control_separator_padding_loads(self, tmp_path):
         # float() rejects "1\x1f"; the cell rules strip it first

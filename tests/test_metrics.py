@@ -379,6 +379,32 @@ class TestPowerOfTwoScaling:
             got = metric(*(np.ldexp(x, k) for x in args))
             np.testing.assert_array_equal(got, want, err_msg=metric.__name__)
 
+    @pytest.mark.parametrize("k", [-1000, 1000])
+    def test_rank_deficient_candidate_is_exact_under_power_of_two_scaling(self, k):
+        # a repeated column sends the candidate to the lstsq branch
+        rng = np.random.default_rng(0)
+        ref = signed_log_uniform(rng, (8, 3))
+        stack = signed_log_uniform(rng, (2, 8, 3))
+        stack[:, :, 2] = stack[:, :, 0]
+        want = aligned_subspace_difference(ref, stack)
+        np.testing.assert_array_equal(aligned_subspace_difference(ref, np.ldexp(stack, k)), want)
+
+    def test_candidate_near_the_overflow_edge(self):
+        # the QR of the unscaled stack overflows to nan
+        rng = np.random.default_rng(1)
+        ref, stack = rng.standard_normal((8, 3)), rng.standard_normal((2, 8, 3))
+        np.testing.assert_allclose(aligned_subspace_difference(ref, 4.25e307 * stack),
+                                   [lstsq_residual(ref, c) for c in stack], rtol=1e-12)
+
+    def test_subnormal_candidate_equals_its_exact_upscale(self):
+        rng = np.random.default_rng(1)
+        ref = rng.standard_normal((8, 3))
+        tiny = np.ldexp(rng.standard_normal((2, 8, 3)), -1060)
+        upscaled = np.ldexp(tiny, 1060)
+        got = aligned_subspace_difference(ref, tiny)
+        np.testing.assert_array_equal(got, aligned_subspace_difference(ref, upscaled))
+        np.testing.assert_allclose(got, [lstsq_residual(ref, c) for c in upscaled], rtol=1e-12)
+
     def test_tiny_reference_is_nonzero(self):
         # every square of a 1e-300 entry underflows to 0
         r = np.random.default_rng(20).standard_normal((6, 2))
