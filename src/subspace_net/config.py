@@ -9,7 +9,8 @@ level; every violation is reported with its JSON path. The schema (version
       "experiment": "single_layer_recovery" | "deep_recovery" |
                     "depth_sweep" | "calibration_study",
       "output_dir": str,
-      "seeds": [int, ...],                     # >= 1 entry, none repeated
+      "seeds": [int, ...],                     # >= 1 entry, each >= 0,
+                                               # none repeated
       "data": {
         "kind": "planted" | "planted_deep" | "planted_hetero" | "csv",
         # planted kinds:
@@ -23,7 +24,7 @@ level; every violation is reported with its JSON path. The schema (version
       "train": {
         "eta": float, "mu": float,             # per-unit-target-scale steps
         "lambda": float, "rank": int,
-        "v_inner_steps": int, "init_scale": float,
+        "v_inner_steps": int,
         "step_decay": bool, "step_offset": float,
         "scale_steps": bool,   # scale eta/mu/init by the target RMS
         "sigma": "scaled" | "planted" | float, # likelihood noise policy
@@ -36,7 +37,6 @@ level; every violation is reported with its JSON path. The schema (version
                                                # only; recovery recipes use
                                                # the full dataset); distinct
       "ranks": [int, ...],                     # optional rank sweep; distinct
-      "ridge_lambda": float,                   # baseline regularization
       "include_baselines": bool,
       "save_models": bool,
       "save_traces": bool
@@ -45,9 +45,10 @@ level; every violation is reported with its JSON path. The schema (version
 Only "experiment", "output_dir" and "seeds" are required. Each key's
 default and validation rule live on its field of `DataConfig`,
 `TrainSection` or `ExperimentConfig`, which are the schema the validator
-and the loader read. For hyperparameter sweeps beyond ranks and
-fractions (for example the regularization grid 1e-4, 1e-3, 1e-2, 1e-1),
-run one config per value.
+and the loader read. A list key must be a nonempty list, and then each
+entry is checked by the field's ``each`` rule and reported as ``key[i]``.
+For hyperparameter sweeps beyond ranks and fractions (for example the
+regularization grid 1e-4, 1e-3, 1e-2, 1e-1), run one config per value.
 """
 
 from __future__ import annotations
@@ -72,10 +73,6 @@ def _real(val) -> bool:
         isinstance(val, int) or (isinstance(val, float) and math.isfinite(val)))
 
 
-def _integer(val) -> bool:
-    return not isinstance(val, bool) and isinstance(val, int)
-
-
 def _number(*, integer=False, minimum=None, exclusive_min=None):
     def check(val):
         if isinstance(val, float) and not math.isfinite(val):
@@ -94,12 +91,6 @@ def _number(*, integer=False, minimum=None, exclusive_min=None):
 
 def _one_of(options, message):
     return lambda val: None if val in options else message
-
-
-def _list_of(ok, message):
-    """A nonempty list whose every entry passes ``ok``."""
-    return lambda val: (None if isinstance(val, list) and val and all(map(ok, val))
-                        else message)
 
 
 def _nonempty_string(val):
@@ -138,6 +129,7 @@ def _setting(default, check, *, key=None, each=None):
 
 
 _COUNT = _number(integer=True, minimum=1)
+_SEED = _number(integer=True, minimum=0)
 _NONNEGATIVE = _number(minimum=0.0)
 _POSITIVE = _number(exclusive_min=0.0)
 
@@ -155,9 +147,7 @@ class DataConfig:
     t: int = _setting(20, _COUNT)
     r: int = _setting(5, _COUNT)
     sigma: float = _setting(3.0, _NONNEGATIVE)
-    sigma_set: list = _setting(
-        [0.5, 3.0], _list_of(lambda v: _real(v) and v > 0,
-                             "must be a nonempty list of positive numbers"))
+    sigma_set: list = _setting([0.5, 3.0], _nonempty_list, each=_POSITIVE)
     depth: int = _setting(3, _COUNT)
     features_path: str | None = _setting(None, _csv_path)
     targets_path: str | None = _setting(None, _csv_path)
@@ -170,7 +160,6 @@ class TrainSection:
     lam: float = _setting(1e-3, _NONNEGATIVE, key="lambda")
     rank: int = _setting(5, _COUNT)
     v_inner_steps: int = _setting(8, _COUNT)
-    init_scale: float = _setting(1.0, _POSITIVE)
     step_decay: bool = _setting(True, _boolean)
     step_offset: float = _setting(500.0, _POSITIVE)
     scale_steps: bool = _setting(False, _boolean)
@@ -183,17 +172,13 @@ class ExperimentConfig:
     experiment: str = _setting(
         MISSING, _one_of(EXPERIMENTS, f"must be one of {EXPERIMENTS}"))
     output_dir: str = _setting(MISSING, _nonempty_string)
-    seeds: list = _setting(
-        MISSING, _list_of(_integer, "required nonempty list of integers"))
+    seeds: list = _setting(MISSING, _nonempty_list, each=_SEED)
     data: DataConfig = field(default_factory=DataConfig)
     train: TrainSection = field(default_factory=TrainSection)
     depth: int = _setting(3, _COUNT)
     calibrate: bool = _setting(False, _boolean)
     fractions: list | None = _setting(None, _nonempty_list, each=_fraction)
-    ranks: list | None = _setting(
-        None, _list_of(lambda v: _integer(v) and v >= 1,
-                       "must be a nonempty list of positive integers"))
-    ridge_lambda: float = _setting(1.0, _NONNEGATIVE)
+    ranks: list | None = _setting(None, _nonempty_list, each=_COUNT)
     include_baselines: bool = _setting(False, _boolean)
     save_models: bool = _setting(True, _boolean)
     save_traces: bool = _setting(True, _boolean)

@@ -90,8 +90,16 @@ class PlantedTruth:
         return self.us[layer] @ self.vs[layer]
 
 
+def _check_seed(seed: int):
+    # numpy's seeding rejects a negative or fractional seed with a bare
+    # ValueError or TypeError
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise InvalidArgumentError(f"seed must be a nonnegative integer, got {seed}")
+
+
 def _stream(seed: int, *key: int) -> np.random.Generator:
     """Named substream of ``seed``; distinct keys never share state."""
+    _check_seed(seed)
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
@@ -180,6 +188,7 @@ def split(data: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dat
     if n_train < 1:
         raise InvalidArgumentError(
             f"train_fraction {train_fraction} leaves an empty training set")
+    _check_seed(seed)
     perm = np.random.default_rng(seed).permutation(data.n)
     names = dict(feature_names=data.feature_names, target_names=data.target_names)
     train = Dataset(X=data.X[perm[:n_train]], Y=data.Y[perm[:n_train]], **names)
@@ -188,12 +197,16 @@ def split(data: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dat
 
 
 def _csv_records(path):
-    """The records of a UTF-8 CSV file, each a list of strings, read one at
-    a time."""
+    """The records of a UTF-8 CSV file, read one at a time: each a list of
+    strings with the number of the physical line it starts on (a quoted
+    cell may span lines)."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
+        line = 1
         try:
-            yield from reader
+            for record in reader:
+                yield line, record
+                line = reader.line_num + 1
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
         except csv.Error as exc:
@@ -295,13 +308,13 @@ def parse_numeric_csv(path, *, nonnegative: bool = False):
     problems = []
     flat = array("d")
     records = _csv_records(path)
-    header = next(records, None)
+    _, header = next(records, (1, None))
     if header is None:
         raise ParseError(f"{path}: file is empty (header row required)")
     width = len(header)
     if width == 0:
         raise ParseError(f"{path}:1: header row has no columns")
-    for line_no, raw in enumerate(records, start=2):
+    for line_no, raw in records:
         if len(raw) != width:
             problems.append(f"{path}:{line_no}: expected {width} cells, got {len(raw)}")
             continue

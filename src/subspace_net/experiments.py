@@ -51,9 +51,11 @@ from .network import (
 )
 
 # Reference target spread at which the default step sizes were tuned; with
-# train.scale_steps on, eta/mu/init_scale are adjusted so training behaves
-# identically on targets of any magnitude.
+# train.scale_steps on, eta/mu and the init scale are adjusted so training
+# behaves identically on targets of any magnitude.
 REFERENCE_TARGET_RMS = 11.5
+# regularization of the ridge baselines of `depth_sweep`
+RIDGE_LAMBDA = 1.0
 
 
 @dataclass
@@ -78,10 +80,9 @@ def _train_config(cfg: ExperimentConfig, rank: int, seed: int,
     tr = cfg.train
     if tr.scale_steps:
         scale = target_rms
-        init = tr.init_scale * max(1.0, math.sqrt(target_rms / REFERENCE_TARGET_RMS))
+        init = max(1.0, math.sqrt(target_rms / REFERENCE_TARGET_RMS))
     else:
-        scale = 1.0
-        init = tr.init_scale
+        scale = init = 1.0
     return TrainConfig(eta=tr.eta * scale, mu=tr.mu * scale, lam=tr.lam,
                        rank=rank, v_inner_steps=tr.v_inner_steps, seed=seed,
                        init_scale=init, step_decay=tr.step_decay,
@@ -114,11 +115,10 @@ def _base_row(cfg: ExperimentConfig, cell: Cell) -> dict:
                    gen_depth=d.depth if d.kind == "planted_deep" else 1)
     row.update({
         "eta": tr.eta, "mu": tr.mu, "lambda": tr.lam,
-        "v_inner_steps": tr.v_inner_steps, "init_scale": tr.init_scale,
+        "v_inner_steps": tr.v_inner_steps,
         "step_decay": tr.step_decay, "step_offset": tr.step_offset,
         "scale_steps": tr.scale_steps, "sigma_policy": str(tr.sigma),
         "sigma_scale": tr.sigma_scale, "calibrate": cfg.calibrate,
-        "ridge_lambda": cfg.ridge_lambda,
         "status": "ok",
     })
     return row
@@ -211,7 +211,7 @@ def _run_depth_sweep(cfg: ExperimentConfig, cell: Cell, csv_data, row: dict):
         row[f"anmse_l{k}"] = value
     row["anmse"] = curve[-1]
     if cfg.include_baselines:
-        model = fit_ridge(train, cfg.ridge_lambda)
+        model = fit_ridge(train, RIDGE_LAMBDA)
         row["ridge_anmse"] = anmse(valid.Y, predict_baseline(model, valid.X, censor=False))
         row["ridge_relu_anmse"] = anmse(valid.Y, predict_baseline(model, valid.X, censor=True))
     return net, []
@@ -227,15 +227,13 @@ def _run_calibration_study(cfg: ExperimentConfig, cell: Cell, csv_data, row: dic
     # layer 0 of an expansion is the layer `train_layer` returns
     report = calibrate_sigma(nets[True].layers[0], train)
     if truth is not None:
-        agree = total = 0
-        for a in range(train.t):
-            for b in range(a + 1, train.t):
-                if truth.sigma[a] == truth.sigma[b]:
-                    continue
-                total += 1
-                if ((report.sigma[a] - report.sigma[b])
-                        * (truth.sigma[a] - truth.sigma[b])) > 0:
-                    agree += 1
+        # the share of task pairs of unequal planted noise that the
+        # calibrated scales order the same way; a pair of equal noise has
+        # gap 0, so it never agrees
+        a, b = np.triu_indices(train.t, k=1)
+        gap = truth.sigma[a] - truth.sigma[b]
+        agree = np.count_nonzero((report.sigma[a] - report.sigma[b]) * gap > 0)
+        total = np.count_nonzero(gap)
         row["sigma_rank_agreement"] = agree / total if total else 1.0
     return None, []
 
@@ -264,7 +262,7 @@ def _cells(cfg: ExperimentConfig) -> list[Cell]:
 def _write_cell(cfg: ExperimentConfig, cell: Cell, net, traces):
     """Write ``traces/<cell>/layer<k>.csv`` and ``models/<cell>.ssnw`` as
     the config asks, making each directory when first writing into it."""
-    frac = "all" if cell.fraction is None else f"f{cell.fraction:g}"
+    frac = "all" if cell.fraction is None else f"f{cell.fraction!r}"
     stem = f"seed{cell.seed}_{frac}_rank{cell.rank}"
     if cfg.save_traces and traces:
         trace_dir = os.path.join(cfg.output_dir, "traces", stem)
@@ -314,14 +312,13 @@ def _write_results(path, rows: list[dict]):
     _atomic_write(path, buf.getvalue().encode("utf-8"))
 
 
-def _summarize(rows: list[dict]) -> dict:
-    """Medians and standard deviations over seeds, grouped by (fraction, rank)."""
-    metric_keys = sorted({
-        key for row in rows for key, val in row.items()
-        if isinstance(val, (int, float)) and not isinstance(val, bool)
-        and (key.startswith(("anmse", "subspace", "weight", "ridge",
-                             "sigma_rank", "max_coherence", "mean_coherence"))
-             or key == "random_max_coherence")})
+def _summarize(rows: list[dict], base_columns) -> dict:
+    """Medians and standard deviations over seeds of every float column a
+    recipe wrote, grouped by (fraction, rank). ``base_columns`` are the
+    `_base_row` columns, which like the wall clock are not metrics."""
+    skip = {*base_columns, "wall_clock_s"}
+    metric_keys = sorted({key for row in rows for key, val in row.items()
+                          if isinstance(val, float) and key not in skip})
     groups = {}
     for row in rows:
         if row.get("status") != "ok":
@@ -353,15 +350,15 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     d = cfg.data
     csv_data = load_csv(d.features_path, d.targets_path) if d.kind == "csv" else None
     os.makedirs(cfg.output_dir, exist_ok=True)
-    rows, first_write_error = [], None
-    for cell in _cells(cfg):
+    rows, first_write_error, cells = [], None, _cells(cfg)
+    for cell in cells:
         row, write_error = _run_cell(cfg, cell, csv_data)
         rows.append(row)
         first_write_error = first_write_error or write_error
     _write_results(os.path.join(cfg.output_dir, "results.csv"), rows)
+    summary = _summarize(rows, _base_row(cfg, cells[0]))
     _atomic_write(os.path.join(cfg.output_dir, "summary.json"),
-                  (json.dumps(_summarize(rows), indent=2, sort_keys=True) + "\n")
-                  .encode("utf-8"))
+                  (json.dumps(summary, indent=2, sort_keys=True) + "\n").encode("utf-8"))
     if first_write_error is not None:
         raise first_write_error
     if all(row["status"] != "ok" for row in rows):

@@ -36,7 +36,7 @@ from .censored import (
     censored_nll_array,
     grad_mu_censored_nll_array,
 )
-from .data import Dataset, _check_rank
+from .data import Dataset, _check_rank, _check_seed
 from .errors import (
     DegenerateInputError,
     DimensionError,
@@ -86,6 +86,7 @@ class TrainConfig:
             raise InvalidArgumentError("init_scale must be positive and finite")
         if not 0 < self.step_offset < math.inf:
             raise InvalidArgumentError("step_offset must be positive and finite")
+        _check_seed(self.seed)
 
 
 @dataclass
@@ -201,7 +202,8 @@ def _sketch_step(x, xx, lin, sample, u, v, lam, eta, steps):
     gradient-kernel call. Returns the new V with its ``V x`` and
     ``U V x``, which the refinement reads.
     """
-    shrink = 1.0 - eta * lam
+    # a float's ** raises OverflowError; numpy's gives inf, caught as divergence
+    shrink = np.float64(1.0 - eta * lam)
     eta_ut = eta * u.T
     xx_u = xx * u
     gs = np.empty((steps, u.shape[1]))

@@ -1,15 +1,13 @@
 """Tests for the ridge / least-squares baselines."""
 
-import os
-
 import numpy as np
 import pytest
 import scipy.linalg
 
 from subspace_net.baselines import fit_ridge, predict_baseline
-from subspace_net.config import load_config
 from subspace_net.data import Dataset
 from subspace_net.errors import ConditioningError, DimensionError, InvalidArgumentError
+from subspace_net.experiments import RIDGE_LAMBDA
 
 
 class TestFitRidge:
@@ -46,11 +44,10 @@ class TestFitRidge:
 
     @pytest.mark.parametrize("lam", ["zero", "config"])
     def test_matches_scipy_cholesky_at_sweep_shape(self, lam):
-        # the depth sweep's baseline shape: N=500, D=50, T=20; the oracle
-        # solves the same centered normal equations with SciPy's Cholesky
-        config = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
-                              "configs", "depth_sweep.json")
-        lam = 0.0 if lam == "zero" else load_config(config).ridge_lambda
+        # the depth sweep's baseline shape: N=500, D=50, T=20, at the sweep's
+        # regularization; the oracle solves the same centered normal
+        # equations with SciPy's Cholesky
+        lam = 0.0 if lam == "zero" else RIDGE_LAMBDA
         rng = np.random.default_rng(5)
         x = rng.standard_normal((500, 50))
         y = np.abs(rng.standard_normal((500, 20)))

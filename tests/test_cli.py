@@ -9,11 +9,14 @@ import re
 import stat
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import subspace_net
 from subspace_net.cli import main
@@ -25,6 +28,7 @@ from subspace_net.config import (
     validate_config_dict,
 )
 from subspace_net.data import gen_single_layer, load_csv, save_csv
+from subspace_net import experiments
 from subspace_net.errors import ConfigError
 from subspace_net.experiments import _trace_csv
 from subspace_net.layer import SubspaceLayer, TraceLog
@@ -131,18 +135,18 @@ PROBLEM_TABLE = [
      ["$.schema_version: unsupported version '1' (expected 1)"]),
     ({}, ("experiment",), [f"$.experiment: must be one of {EXPERIMENTS}"]),
     ({}, ("output_dir",), ["$.output_dir: required nonempty string"]),
-    ({}, ("seeds",), ["$.seeds: required nonempty list of integers"]),
+    ({}, ("seeds",), ["$.seeds: must be a nonempty list"]),
     ({}, ("experiment", "output_dir", "seeds"),
      [f"$.experiment: must be one of {EXPERIMENTS}",
       "$.output_dir: required nonempty string",
-      "$.seeds: required nonempty list of integers"]),
+      "$.seeds: must be a nonempty list"]),
     ({"experiment": "nope"}, (), [f"$.experiment: must be one of {EXPERIMENTS}"]),
     ({"output_dir": ""}, (), ["$.output_dir: required nonempty string"]),
     ({"output_dir": 7}, (), ["$.output_dir: required nonempty string"]),
-    ({"seeds": []}, (), ["$.seeds: required nonempty list of integers"]),
-    ({"seeds": [1.5]}, (), ["$.seeds: required nonempty list of integers"]),
-    ({"seeds": [True]}, (), ["$.seeds: required nonempty list of integers"]),
-    ({"seeds": 3}, (), ["$.seeds: required nonempty list of integers"]),
+    ({"seeds": []}, (), ["$.seeds: must be a nonempty list"]),
+    ({"seeds": [1.5]}, (), ["$.seeds[0]: must be an integer"]),
+    ({"seeds": [True]}, (), ["$.seeds[0]: must be a number, got bool"]),
+    ({"seeds": 3}, (), ["$.seeds: must be a nonempty list"]),
     ({"banana": 1}, (), ["$.banana: unknown key"]),
     ({"data": 5}, (), ["$.data: must be an object"]),
     ({"data": None}, (), ["$.data: must be an object"]),
@@ -157,8 +161,9 @@ PROBLEM_TABLE = [
     ({"pred_scale": 0}, (), ["$.pred_scale: unknown key"]),
     ({"skip_mode": "concat"}, (), ["$.skip_mode: unknown key"]),
     ({"residual_set": "uncensored"}, (), ["$.residual_set: unknown key"]),
-    ({"ridge_lambda": -1}, (), ["$.ridge_lambda: must be >= 0.0, got -1"]),
-    ({"ridge_lambda": 0}, (), []),
+    # the ridge baselines' regularization is a constant, not a key
+    ({"ridge_lambda": -1}, (), ["$.ridge_lambda: unknown key"]),
+    ({"ridge_lambda": 0}, (), ["$.ridge_lambda: unknown key"]),
     # choice and boolean keys
     ({"calibrate": 1}, (), ["$.calibrate: must be a boolean"]),
     ({"include_baselines": "yes"}, (), ["$.include_baselines: must be a boolean"]),
@@ -174,10 +179,10 @@ PROBLEM_TABLE = [
       "$.fractions[3]: must lie strictly in (0, 1), got True",
       "$.fractions[4]: must lie strictly in (0, 1), got x"]),
     ({"ranks": None}, (), []),
-    ({"ranks": []}, (), ["$.ranks: must be a nonempty list of positive integers"]),
-    ({"ranks": [0]}, (), ["$.ranks: must be a nonempty list of positive integers"]),
-    ({"ranks": [2.0]}, (), ["$.ranks: must be a nonempty list of positive integers"]),
-    ({"ranks": [True]}, (), ["$.ranks: must be a nonempty list of positive integers"]),
+    ({"ranks": []}, (), ["$.ranks: must be a nonempty list"]),
+    ({"ranks": [0]}, (), ["$.ranks[0]: must be >= 1, got 0"]),
+    ({"ranks": [2.0]}, (), ["$.ranks[0]: must be an integer"]),
+    ({"ranks": [True]}, (), ["$.ranks[0]: must be a number, got bool"]),
     # data section
     ({"data": {"banana": 1}}, (), ["data.banana: unknown key"]),
     ({"data": {"kind": "tsv"}}, (), [f"data.kind: must be one of {DATA_KINDS}"]),
@@ -195,13 +200,13 @@ PROBLEM_TABLE = [
      ["data.depth: must be >= 1, got 0"]),
     ({"data": {"kind": "planted_hetero", "sigma_set": [0.5, 3]}}, (), []),
     ({"data": {"kind": "planted_hetero", "sigma_set": []}}, (),
-     ["data.sigma_set: must be a nonempty list of positive numbers"]),
+     ["data.sigma_set: must be a nonempty list"]),
     ({"data": {"kind": "planted_hetero", "sigma_set": [0.5, 0]}}, (),
-     ["data.sigma_set: must be a nonempty list of positive numbers"]),
+     ["data.sigma_set[1]: must be > 0.0, got 0"]),
     ({"data": {"kind": "planted_hetero", "sigma_set": [True]}}, (),
-     ["data.sigma_set: must be a nonempty list of positive numbers"]),
+     ["data.sigma_set[0]: must be a number, got bool"]),
     ({"data": {"kind": "planted_hetero", "sigma_set": 2.0}}, (),
-     ["data.sigma_set: must be a nonempty list of positive numbers"]),
+     ["data.sigma_set: must be a nonempty list"]),
     ({"data": {"kind": "csv", "features_path": "x.csv", "targets_path": "y.csv"}}, (), []),
     ({"data": {"kind": "csv"}}, (),
      ["data.features_path: required string for csv data",
@@ -218,7 +223,8 @@ PROBLEM_TABLE = [
     ({"train": {"lambda": 0}}, (), []),
     ({"train": {"rank": 0}}, (), ["train.rank: must be >= 1, got 0"]),
     ({"train": {"v_inner_steps": 1.0}}, (), ["train.v_inner_steps: must be an integer"]),
-    ({"train": {"init_scale": 0.0}}, (), ["train.init_scale: must be > 0.0, got 0.0"]),
+    # the init scale follows the target RMS, not a key
+    ({"train": {"init_scale": 0.0}}, (), ["train.init_scale: unknown key"]),
     ({"train": {"step_offset": "500"}}, (),
      ["train.step_offset: must be a number, got str"]),
     ({"train": {"sigma_scale": 0}}, (), ["train.sigma_scale: must be > 0.0, got 0"]),
@@ -238,7 +244,7 @@ PROBLEM_TABLE = [
       "depth": 0}, (),
      ["$.banana: unknown key",
       f"$.experiment: must be one of {EXPERIMENTS}",
-      "$.seeds: required nonempty list of integers",
+      "$.seeds: must be a nonempty list",
       "data.apple: unknown key", "data.n: must be >= 1, got 0",
       "train.cherry: unknown key", "train.rank: must be >= 1, got 0",
       "$.depth: must be >= 1, got 0"]),
@@ -251,18 +257,22 @@ PROBLEM_TABLE = [
      ["$.seeds: must not repeat an entry, got [3, 3]",
       "$.fractions: must not repeat an entry, got [0.5, 0.5]",
       "$.ranks: must not repeat an entry, got [1, 1]"]),
-    ({"ranks": [1, 1.0, True]}, (), ["$.ranks: must be a nonempty list of positive integers"]),
+    ({"ranks": [1, 1.0, True]}, (),
+     ["$.ranks[1]: must be an integer", "$.ranks[2]: must be a number, got bool"]),
     ({"seeds": [[0], [0]]}, (),
-     ["$.seeds: required nonempty list of integers",
+     ["$.seeds[0]: must be a number, got list", "$.seeds[1]: must be a number, got list",
       "$.seeds: must not repeat an entry, got [[0], [0]]"]),
+    # numpy cannot seed from a negative integer
+    ({"seeds": [0, -1]}, (), ["$.seeds[1]: must be >= 0, got -1"]),
+    ({"seeds": [0, 2**64]}, (), []),
 ]
 
 # keys that apply to one data kind only are checked whatever the kind
 NEW_REJECTIONS = [
     ({"data": {"kind": "planted", "sigma_set": 5}}, (),
-     ["data.sigma_set: must be a nonempty list of positive numbers"]),
+     ["data.sigma_set: must be a nonempty list"]),
     ({"data": {"kind": "planted_hetero", "sigma_set": None}}, (),
-     ["data.sigma_set: must be a nonempty list of positive numbers"]),
+     ["data.sigma_set: must be a nonempty list"]),
     ({"data": {"kind": "planted", "depth": 0}}, (),
      ["data.depth: must be >= 1, got 0"]),
     ({"data": {"kind": "csv", "features_path": "x.csv", "targets_path": "y.csv",
@@ -277,20 +287,20 @@ NEW_REJECTIONS = [
     ({"train": {"eta": math.nan, "mu": math.inf}, "ridge_lambda": math.nan,
       "data": {"sigma": math.inf}}, (),
      ["train.eta: must be finite, got nan", "train.mu: must be finite, got inf",
-      "$.ridge_lambda: must be finite, got nan",
+      "$.ridge_lambda: unknown key",
       "data.sigma: must be finite, got inf"]),
     ({"depth": -math.inf, "data": {"sigma": math.nan}}, (),
      ["$.depth: must be finite, got -inf", "data.sigma: must be finite, got nan"]),
     ({"train": {"lambda": math.nan, "init_scale": math.inf,
                 "step_offset": math.nan, "sigma_scale": math.inf}}, (),
      ["train.lambda: must be finite, got nan",
-      "train.init_scale: must be finite, got inf",
+      "train.init_scale: unknown key",
       "train.step_offset: must be finite, got nan",
       "train.sigma_scale: must be finite, got inf"]),
     ({"train": {"sigma": math.inf}}, (),
      ["train.sigma: must be a positive number or one of ('scaled', 'planted')"]),
     ({"data": {"kind": "planted_hetero", "sigma_set": [0.5, math.inf]}}, (),
-     ["data.sigma_set: must be a nonempty list of positive numbers"]),
+     ["data.sigma_set[1]: must be finite, got inf"]),
 ]
 
 
@@ -323,6 +333,72 @@ def test_schema_docstring_quotes_every_key_once():
         f.metadata.get("key") or f.name
         for cls in (ExperimentConfig, DataConfig, TrainSection) for f in fields(cls)]
     assert Counter(quoted) == Counter(keys)
+
+
+# a tiny config, and per key the values at the edge of what the schema
+# accepts, with a few just past it
+TINY = {"output_dir": "out", "seeds": [0],
+        "data": {"kind": "planted", "n": 40, "d": 5, "t": 4, "r": 2, "sigma": 1.0},
+        "train": {"rank": 2, "v_inner_steps": 2, "scale_steps": True},
+        "depth": 2, "save_models": False, "save_traces": False}
+EDGES = {
+    "seeds": [[0], [-1], [1, 0], [2**64]],
+    "data.kind": ["planted_deep", "planted_hetero", "csv"],
+    "data.n": [0, 1, 2, 60],
+    "data.d": [1, 6],
+    "data.t": [1, 6],
+    "data.r": [1, 6],
+    "data.sigma": [0, 1e300],
+    "data.sigma_set": [[1e-300], [0.5, 1e300]],
+    "data.depth": [1, 2],
+    "train.eta": [1e-300, 1e6],
+    "train.mu": [1e-300, 1e6],
+    "train.lambda": [0, 1e300],
+    "train.rank": [1, 6],
+    "train.v_inner_steps": [1, 3],
+    "train.step_decay": [False],
+    "train.step_offset": [1e-300, 1e300],
+    "train.scale_steps": [False],
+    "train.sigma": ["planted", 1e-300, 1e300],
+    "train.sigma_scale": [1e-300, 1e300],
+    "depth": [1],
+    "calibrate": [True],
+    "fractions": [[1e-9], [0.999999], [0.5, 0.5000001]],
+    "ranks": [[1, 6], [7]],
+    "include_baselines": [True],
+    "save_models": [True],
+    "save_traces": [True],
+}
+
+
+@st.composite
+def edge_configs(draw):
+    """TINY for one recipe, with up to three keys set to edge values."""
+    cfg = json.loads(json.dumps(TINY))
+    cfg["experiment"] = draw(st.sampled_from(EXPERIMENTS))
+    for key in draw(st.lists(st.sampled_from(sorted(EDGES)), max_size=3, unique=True)):
+        section, _, name = key.rpartition(".")
+        (cfg[section] if section else cfg)[name] = draw(st.sampled_from(EDGES[key]))
+    return cfg
+
+
+@settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=edge_configs())
+def test_a_config_that_validates_also_runs(tmp_path, cfg):
+    # `ssn validate` promises that `ssn run` gets past the config: every
+    # cell either runs or records a typed error, and nothing escapes
+    fx, fy = tmp_path / "features.csv", tmp_path / "targets.csv"
+    if cfg["data"]["kind"] == "csv":
+        save_csv(gen_single_layer(40, 5, 4, 2, 1.0, seed=0)[0], fx, fy)
+        cfg["data"].update(features_path=str(fx), targets_path=str(fy))
+    cfg["output_dir"] = str(tmp_path / "out")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    if main(["validate", str(path)]) != 0:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # overflow and saturation on edge values
+        assert main(["run", str(path)]) in (0, 3)
 
 
 class TestRun:
@@ -504,6 +580,50 @@ class TestRun:
         assert sorted(p.name for p in out.iterdir()) == written
         if "models" in written:
             assert [p.name for p in (out / "models").iterdir()] == ["seed0_f0.5_rank2.ssnw"]
+
+    def test_cells_name_their_artifacts_by_their_exact_fraction(self, tmp_path):
+        # the two fractions print alike with :g; each cell keeps its own model
+        path = write_config(tmp_path, seeds=[0], fractions=[0.5, 0.5000001],
+                            save_models=True)
+        assert main(["run", str(path)]) == 0
+        assert sorted(p.name for p in (tmp_path / "out" / "models").iterdir()) == [
+            "seed0_f0.5000001_rank2.ssnw", "seed0_f0.5_rank2.ssnw"]
+
+    @pytest.mark.parametrize("sigma_set", [[0.5, 3.0], [1.0]])
+    def test_sigma_rank_agreement_is_the_pairwise_count(self, tmp_path, monkeypatch,
+                                                        sigma_set):
+        # reference: the loop over the task pairs of unequal planted noise
+        seen = {}
+
+        def keep(name):
+            original = getattr(experiments, name)
+
+            def wrapper(*args, **kwargs):
+                seen[name] = original(*args, **kwargs)
+                return seen[name]
+            monkeypatch.setattr(experiments, name, wrapper)
+
+        keep("gen_heteroscedastic")
+        keep("calibrate_sigma")
+        path = write_config(tmp_path, experiment="calibration_study", seeds=[0],
+                            data={"kind": "planted_hetero", "n": 200, "d": 8, "t": 6,
+                                  "r": 2, "sigma_set": sigma_set})
+        assert main(["run", str(path)]) == 0
+        truth, sigma = seen["gen_heteroscedastic"][1].sigma, seen["calibrate_sigma"].sigma
+        pairs = [(a, b) for a in range(6) for b in range(a + 1, 6) if truth[a] != truth[b]]
+        agree = sum((sigma[a] - sigma[b]) * (truth[a] - truth[b]) > 0 for a, b in pairs)
+        with open(tmp_path / "out" / "results.csv", newline="") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert float(row["sigma_rank_agreement"]) == (agree / len(pairs) if pairs else 1.0)
+        assert bool(pairs) == (len(sigma_set) > 1)
+
+    def test_summary_covers_the_float_columns_recipes_write(self, tmp_path):
+        # integer counts, config copies and the wall clock are not metrics
+        path = write_config(tmp_path)
+        assert main(["run", str(path)]) == 0
+        (group,) = json.loads((tmp_path / "out" / "summary.json").read_text())["groups"]
+        assert sorted(group["metrics"]) == ["anmse", "anmse_l1", "anmse_l2",
+                                            "ridge_anmse", "ridge_relu_anmse"]
 
     def test_models_path_that_is_a_file_fails_each_cell(self, tmp_path, capsys):
         # every cell computes its metrics, then fails to make models/; the

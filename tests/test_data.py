@@ -143,6 +143,22 @@ class TestSplit:
                 split(data, frac, seed=0)
 
 
+# numpy's seeding raises a bare ValueError on a negative seed, and a
+# TypeError on a fractional one
+@pytest.mark.parametrize("seed", [-1, 1.5])
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda s: gen_single_layer(10, 4, 3, 2, 1.0, seed=s), id="gen_single_layer"),
+    pytest.param(lambda s: gen_deep(10, 4, 3, 2, 1.0, 2, seed=s), id="gen_deep"),
+    pytest.param(lambda s: gen_heteroscedastic(10, 4, 3, 2, [0.5, 3.0], seed=s),
+                 id="gen_heteroscedastic"),
+    pytest.param(lambda s: split(gen_single_layer(10, 4, 3, 2, 1.0, seed=0)[0], 0.5, seed=s),
+                 id="split")])
+def test_seed_that_is_not_a_nonnegative_integer_is_invalid(call, seed):
+    with pytest.raises(InvalidArgumentError,
+                       match=f"seed must be a nonnegative integer, got {seed}"):
+        call(seed)
+
+
 class TestCsvRoundTrip:
     def test_small_wellformed_pair(self, tmp_path):
         fx = tmp_path / "features.csv"
@@ -186,6 +202,14 @@ class TestCsvRoundTrip:
         fy.write_text("s\n0\n1\n")
         with pytest.raises(ParseError, match="row-count mismatch"):
             load_csv(fx, fy)
+
+    def test_rows_are_named_by_their_physical_line(self, tmp_path):
+        # the quoted cell spans lines 2 and 3, so the bad record is on line 4
+        path = tmp_path / "features.csv"
+        path.write_text('a,b\n"1\n",2\nx,3\n')
+        with pytest.raises(ParseError) as excinfo:
+            parse_numeric_csv(path)
+        assert str(excinfo.value) == f"rejected rows:\n{path}:4:1: non-numeric cell 'x'"
 
     def test_all_bad_rows_reported(self, tmp_path):
         fx = tmp_path / "features.csv"
@@ -257,7 +281,8 @@ class TestCsvRoundTrip:
 
 def cell_by_cell_parse(path, *, nonnegative=False):
     """The reader with no plain-file tier: every cell of every record
-    converted and checked on its own. The oracle for `parse_numeric_csv`."""
+    converted and checked on its own, each record named by the physical
+    line it starts on. The oracle for `parse_numeric_csv`."""
     problems = []
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -265,7 +290,9 @@ def cell_by_cell_parse(path, *, nonnegative=False):
         try:
             header = next(records)
             width = len(header)
-            for line_no, raw in enumerate(records, start=2):
+            start = records.line_num + 1
+            for raw in records:
+                line_no, start = start, records.line_num + 1
                 if len(raw) != width:
                     problems.append(f"{path}:{line_no}: expected {width} cells, got {len(raw)}")
                     continue
@@ -330,8 +357,9 @@ def numeric_tables(draw):
     of plain decimals. In half the files some records have the wrong width
     and up to two odd cells are dropped into each record. Lines end in LF or in CRLF. Now
     and then a file also holds a form that only the cell rules read: a
-    quoted or non-ASCII header name, a quoted cell, a field longer than the
-    field limit, a blank line, a lone CR ending a line."""
+    quoted or non-ASCII header name, a quoted cell (which may span two
+    lines), a field longer than the field limit, a blank line, a lone CR
+    ending a line."""
     width = draw(st.integers(1, 4))
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     odd = draw(st.booleans())
@@ -349,7 +377,8 @@ def numeric_tables(draw):
     if any(records) and rarely(draw):
         record = draw(st.sampled_from([r for r in records if r]))
         at = draw(st.integers(0, len(record) - 1))
-        record[at] = draw(st.sampled_from([f'"{record[at]}"', LONG_FIELD]))
+        record[at] = draw(st.sampled_from([f'"{record[at]}"', f'"{record[at]}{newline}"',
+                                           LONG_FIELD]))
     lines = [",".join(header)] + [",".join(record) for record in records]
     if rarely(draw):
         lines.insert(draw(st.integers(1, len(lines))), "")

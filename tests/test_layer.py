@@ -592,6 +592,12 @@ class TestTrainConfigValidation:
         with pytest.raises(InvalidArgumentError):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_seed_checked_before_training(self, seed):
+        data, _ = gen_single_layer(20, 4, 3, 2, 1.0, seed=0)
+        with pytest.raises(InvalidArgumentError, match="seed must be a nonnegative integer"):
+            train_layer(data, TrainConfig(rank=2, seed=seed))
+
 
 class TestSubspaceLayerValidation:
     @pytest.mark.parametrize("u_shape, v_shape, t", [
