@@ -16,7 +16,6 @@ from .censored import (
     censored_nll_array,
     grad_mu_censored_nll,
     grad_mu_censored_nll_array,
-    log_std_normal_cdf,
 )
 from .data import (
     Dataset,
@@ -33,9 +32,7 @@ from .layer import (
     TraceLog,
     TrainConfig,
     instantaneous_cost,
-    predict,
     predict_batch,
-    predict_linear,
     predict_linear_batch,
     refine_u_row,
     sketch_v,
@@ -53,7 +50,6 @@ from .network import (
     SubspaceNetwork,
     calibrate_sigma,
     expand,
-    forward,
     forward_batch,
     load_model,
     save_model,

@@ -17,7 +17,6 @@ from .data import Dataset
 from .errors import (
     ConditioningError,
     DimensionError,
-    EmptyInputError,
     InvalidArgumentError,
 )
 
@@ -48,8 +47,6 @@ def fit_ridge(data: Dataset, ridge_lambda: float = 0.0) -> LinearModel:
     """
     if ridge_lambda < 0:
         raise InvalidArgumentError(f"ridge_lambda must be >= 0, got {ridge_lambda}")
-    if data.n < 1:
-        raise EmptyInputError("cannot fit on an empty dataset")
     x_mean = data.X.mean(axis=0)
     y_mean = data.Y.mean(axis=0)
     xc = data.X - x_mean

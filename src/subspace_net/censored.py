@@ -71,12 +71,6 @@ def _bind_special():
         erfcx, log_ndtr = special.erfcx, special.log_ndtr
 
 
-def log_std_normal_cdf(z):
-    """``log Phi(z)``: the routine the censored kernels use."""
-    _bind_special()
-    return log_ndtr(z)
-
-
 @dataclass(frozen=True)
 class CensoredNllTerm:
     """One observation of the censored model: target, predictor, noise scale."""

@@ -273,6 +273,10 @@ def load_config(path) -> ExperimentConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"{path}: invalid JSON: nested too deeply") from exc
     problems = validate_config_dict(obj)
     if problems:
         raise ConfigError("\n".join(f"{path}: {p}" for p in problems))

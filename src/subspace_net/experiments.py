@@ -133,7 +133,7 @@ def _fmt(value) -> str:
 def _trace_csv(trace) -> str:
     """The trace as the bytes `csv.writer` gives over ``_fmt`` cells, each
     row one ``%`` format; the probe columns are empty without a probe."""
-    cols = [trace.iterations + 1, trace.costs, trace.du_norms]
+    cols = [np.arange(1, len(trace) + 1), trace.costs, trace.du_norms]
     line = "%d,%.17g,%.17g"
     for diffs in (trace.subspace_diffs, trace.subspace_diffs_raw):
         line += ",%.17g" if diffs is not None else ","

@@ -40,7 +40,6 @@ from .data import Dataset, _check_rank, _check_seed
 from .errors import (
     DegenerateInputError,
     DimensionError,
-    EmptyInputError,
     InvalidArgumentError,
     StepSizeError,
 )
@@ -148,7 +147,6 @@ class TraceLog:
     relative Frobenius difference against the probe.
     """
 
-    iterations: np.ndarray
     costs: np.ndarray
     du_norms: np.ndarray
     subspace_diffs: np.ndarray | None = None
@@ -156,7 +154,7 @@ class TraceLog:
     samples_seen: int = 0
 
     def __len__(self) -> int:
-        return self.iterations.shape[0]
+        return self.costs.shape[0]
 
 
 def _check_vector(v, length, name):
@@ -299,8 +297,6 @@ def train_layer(data: Dataset, cfg: TrainConfig, probe: np.ndarray | None = None
     Raises StepSizeError on divergence, carrying the last finite ``(U, V)``
     and the trace collected so far.
     """
-    if data.n < 1:
-        raise EmptyInputError("training data is empty")
     n, d = data.X.shape
     t = data.Y.shape[1]
     _check_rank(cfg.rank, t, d)
@@ -337,7 +333,6 @@ def train_layer(data: Dataset, cfg: TrainConfig, probe: np.ndarray | None = None
         if probe is not None and end % PROBE_BLOCK:
             probe_upto(end)
         return TraceLog(
-            iterations=np.arange(end),
             costs=costs[:end].copy(),
             du_norms=du_norms[:end].copy(),
             subspace_diffs=None if sub is None else sub[:end].copy(),
@@ -379,17 +374,6 @@ def train_layer(data: Dataset, cfg: TrainConfig, probe: np.ndarray | None = None
 
     layer = SubspaceLayer(U=u, V=v, sigma=sigma_vec, lam=cfg.lam)
     return layer, finish(n)
-
-
-def predict_linear(layer: SubspaceLayer, x) -> np.ndarray:
-    """Pre-activation prediction ``U V x``."""
-    x = _check_vector(x, layer.d_in, "x")
-    return layer.U @ (layer.V @ x)
-
-
-def predict(layer: SubspaceLayer, x) -> np.ndarray:
-    """Point prediction ``ReLU(U V x)``."""
-    return np.maximum(predict_linear(layer, x), 0.0)
 
 
 def predict_linear_batch(layer: SubspaceLayer, x_mat) -> np.ndarray:

@@ -105,12 +105,6 @@ class CalibrationReport:
     n_used: np.ndarray
 
 
-def forward(net: SubspaceNetwork, x, upto: int | None = None) -> np.ndarray:
-    """Evaluate the network on one input vector, optionally stopping after
-    ``upto`` layers. The result is entrywise nonnegative."""
-    return forward_batch(net, np.asarray(x, dtype=np.float64)[None, :], upto)[0]
-
-
 def forward_batch(net: SubspaceNetwork, x_mat, upto: int | None = None) -> np.ndarray:
     """Evaluate the network on a batch of row vectors (N x D)."""
     if upto is None:
@@ -124,10 +118,7 @@ def forward_batch(net: SubspaceNetwork, x_mat, upto: int | None = None) -> np.nd
             f"inputs must have shape (n, {net.input_dim}), got {x_mat.shape}")
     h = predict_batch(net.layers[0], x_mat)
     for k in range(1, upto):
-        try:
-            h = predict_batch(net.layers[k], np.concatenate([h, x_mat], axis=1))
-        except DimensionError as exc:
-            raise DimensionError(f"layer {k}: {exc}") from exc
+        h = predict_batch(net.layers[k], np.concatenate([h, x_mat], axis=1))
     return h
 
 
@@ -141,8 +132,6 @@ def calibrate_sigma(layer: SubspaceLayer, data: Dataset) -> CalibrationReport:
     censored tasks, where zero targets sit far from a strongly negative
     predictor. A task with no positive target falls back to every sample.
     """
-    if data.n < 1:
-        raise EmptyInputError("calibration data is empty")
     used = data.Y > 0
     fallback = ~used.any(axis=0)
     used[:, fallback] = True

@@ -108,6 +108,23 @@ class TestValidate:
         assert main(["validate", str(path)]) == 1
         assert ":1:" in capsys.readouterr().err
 
+    def test_non_utf8_config_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"experiment": "depth_sweep", "output_dir": "o\xe9", '
+                         b'"seeds": [0]}')
+        for command in ("validate", "run"):
+            assert main([command, str(path)]) == 1
+            assert capsys.readouterr().err == (
+                f"{path}: not UTF-8 text (invalid continuation byte)\n")
+
+    def test_deeply_nested_config_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text('{"a":' * 100000)
+        for command in ("validate", "run"):
+            assert main([command, str(path)]) == 1
+            assert capsys.readouterr().err == (
+                f"{path}: invalid JSON: nested too deeply\n")
+
     def test_missing_file_is_io_error(self, tmp_path):
         assert main(["validate", str(tmp_path / "absent.json")]) == 2
 
@@ -625,6 +642,16 @@ class TestRun:
         assert sorted(group["metrics"]) == ["anmse", "anmse_l1", "anmse_l2",
                                             "ridge_anmse", "ridge_relu_anmse"]
 
+    def test_summary_leaves_out_a_metric_a_group_lacks(self, tmp_path):
+        # only the cells whose rank is the planted rank are probed
+        path = write_config(
+            tmp_path, experiment="single_layer_recovery", seeds=[0], ranks=[2, 3],
+            data={"kind": "planted", "n": 100, "d": 8, "t": 4, "r": 3, "sigma": 1.0})
+        assert main(["run", str(path)]) == 0
+        groups = json.loads((tmp_path / "out" / "summary.json").read_text())["groups"]
+        probed = {g["rank"]: "subspace_diff_final" in g["metrics"] for g in groups}
+        assert probed == {2: False, 3: True}
+
     def test_models_path_that_is_a_file_fails_each_cell(self, tmp_path, capsys):
         # every cell computes its metrics, then fails to make models/; the
         # run still writes its reports and exits with the IO error
@@ -730,7 +757,7 @@ def test_trace_csv_bytes_are_those_of_csv_writer(probe):
     costs = np.array([1.5, -0.0, math.nan, 1e-300, 123456789.123456789])
     du = np.array([0.1, math.inf, 0.0, 2.0 / 3.0, 5e-324])
     diffs = np.array([0.5, 1.0 / 3.0, math.nan, 1e17, 0.25]) if probe else None
-    trace = TraceLog(iterations=np.arange(5), costs=costs, du_norms=du,
+    trace = TraceLog(costs=costs, du_norms=du,
                      subspace_diffs=diffs,
                      subspace_diffs_raw=None if diffs is None else 2 * diffs,
                      samples_seen=5)

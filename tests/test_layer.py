@@ -21,9 +21,7 @@ from subspace_net.layer import (
     SubspaceLayer,
     TrainConfig,
     instantaneous_cost,
-    predict,
     predict_batch,
-    predict_linear,
     predict_linear_batch,
     refine_u_row,
     sketch_v,
@@ -537,39 +535,31 @@ class TestPredict:
     def test_zero_factors_give_zero(self):
         layer = SubspaceLayer(U=np.zeros((3, 2)), V=np.zeros((2, 4)),
                               sigma=np.ones(3))
-        np.testing.assert_array_equal(predict_linear(layer, np.ones(4)), np.zeros(3))
-        np.testing.assert_array_equal(predict(layer, np.ones(4)), np.zeros(3))
+        np.testing.assert_array_equal(predict_linear_batch(layer, np.ones((1, 4))),
+                                      np.zeros((1, 3)))
+        np.testing.assert_array_equal(predict_batch(layer, np.ones((1, 4))),
+                                      np.zeros((1, 3)))
 
     def test_zero_input_gives_zero(self):
         layer = random_layer(np.random.default_rng(13))
-        np.testing.assert_array_equal(predict_linear(layer, np.zeros(4)), np.zeros(3))
+        np.testing.assert_array_equal(predict_linear_batch(layer, np.zeros((1, 4))),
+                                      np.zeros((1, 3)))
 
     def test_matches_dense_product_oracle(self):
         rng = np.random.default_rng(14)
         layer = random_layer(rng, t=3, d=4, r=2)
-        x = rng.standard_normal(4)
-        dense = (layer.U @ layer.V) @ x
-        np.testing.assert_allclose(predict_linear(layer, x), dense, atol=1e-12)
+        xs = rng.standard_normal((10, 4))
+        dense = np.array([(layer.U @ layer.V) @ x for x in xs])
+        np.testing.assert_allclose(predict_linear_batch(layer, xs), dense, atol=1e-12)
 
     def test_relu_behaviour(self):
         rng = np.random.default_rng(15)
         layer = random_layer(rng, t=5, d=4, r=2)
-        x = rng.standard_normal(4)
-        lin = predict_linear(layer, x)
-        out = predict(layer, x)
+        x = rng.standard_normal((1, 4))
+        lin = predict_linear_batch(layer, x)[0]
+        out = predict_batch(layer, x)[0]
         np.testing.assert_array_equal(out, np.array([max(v, 0.0) for v in lin]))
         assert np.all(out >= 0)
-
-    def test_batch_agrees_with_single(self):
-        rng = np.random.default_rng(16)
-        layer = random_layer(rng, t=3, d=4, r=2)
-        xs = rng.standard_normal((10, 4))
-        batch = predict_batch(layer, xs)
-        batch_lin = predict_linear_batch(layer, xs)
-        for i in range(10):
-            np.testing.assert_allclose(batch[i], predict(layer, xs[i]), atol=1e-12)
-            np.testing.assert_allclose(batch_lin[i], predict_linear(layer, xs[i]),
-                                       atol=1e-12)
 
 
 class TestTrainConfigValidation:

@@ -12,12 +12,11 @@ from subspace_net.errors import (
     ModelFormatError,
     ModelVersionError,
 )
-from subspace_net.layer import SubspaceLayer, TrainConfig, predict, train_layer
+from subspace_net.layer import SubspaceLayer, TrainConfig, predict_batch, train_layer
 from subspace_net.network import (
     SubspaceNetwork,
     calibrate_sigma,
     expand,
-    forward,
     forward_batch,
     load_model,
     save_model,
@@ -92,9 +91,9 @@ class TestForward:
     def test_single_layer_equals_predict(self):
         rng = np.random.default_rng(0)
         net = make_net(rng, depth=1)
-        x = rng.standard_normal(4)
-        np.testing.assert_allclose(forward(net, x), predict(net.layers[0], x),
-                                   atol=1e-15)
+        x = rng.standard_normal((1, 4))
+        np.testing.assert_allclose(forward_batch(net, x),
+                                   predict_batch(net.layers[0], x), atol=1e-15)
 
     def test_skip_wiring_passes_features_through(self):
         # layer 1 zeros on the prediction block and selecting two raw features
@@ -107,28 +106,28 @@ class TestForward:
         layer1 = SubspaceLayer(U=np.eye(2), V=select, sigma=np.ones(2), lam=0.0)
         net = SubspaceNetwork(layers=[layer0, layer1], skip_mode="concat")
         x = rng.standard_normal(3)
-        out = forward(net, x)
+        out = forward_batch(net, x[None])[0]
         np.testing.assert_allclose(out, np.maximum([x[0], x[2]], 0.0), atol=1e-14)
 
     def test_output_nonnegative(self):
         rng = np.random.default_rng(2)
         net = make_net(rng, depth=3)
         for _ in range(20):
-            assert np.all(forward(net, rng.standard_normal(4)) >= 0)
+            assert np.all(forward_batch(net, rng.standard_normal((1, 4))) >= 0)
 
     def test_upto_bounds(self):
         rng = np.random.default_rng(3)
         net = make_net(rng, depth=2)
         with pytest.raises(InvalidArgumentError):
-            forward(net, np.zeros(4), upto=0)
+            forward_batch(net, np.zeros((1, 4)), upto=0)
         with pytest.raises(InvalidArgumentError):
-            forward(net, np.zeros(4), upto=3)
+            forward_batch(net, np.zeros((1, 4)), upto=3)
 
     def test_forward_pure(self):
         rng = np.random.default_rng(4)
         net = make_net(rng, depth=2)
-        x = rng.standard_normal(4)
-        np.testing.assert_array_equal(forward(net, x), forward(net, x))
+        x = rng.standard_normal((1, 4))
+        np.testing.assert_array_equal(forward_batch(net, x), forward_batch(net, x))
 
 
 class TestNetworkInvariants:
