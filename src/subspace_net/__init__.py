@@ -13,9 +13,7 @@ from .baselines import LinearModel, fit_ridge, predict_baseline
 from .censored import (
     CensoredNllTerm,
     censored_nll,
-    censored_nll_array,
     grad_mu_censored_nll,
-    grad_mu_censored_nll_array,
 )
 from .data import (
     Dataset,

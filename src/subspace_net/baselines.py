@@ -27,7 +27,6 @@ class LinearModel:
 
     W: np.ndarray
     intercept: np.ndarray
-    ridge_lambda: float = 0.0
 
     def __post_init__(self):
         self.W = np.asarray(self.W, dtype=np.float64)
@@ -60,7 +59,7 @@ def fit_ridge(data: Dataset, ridge_lambda: float = 0.0) -> LinearModel:
         ) from exc
     w = np.linalg.solve(lower.T, np.linalg.solve(lower, xc.T @ yc)).T
     intercept = y_mean - w @ x_mean
-    return LinearModel(W=w, intercept=intercept, ridge_lambda=ridge_lambda)
+    return LinearModel(W=w, intercept=intercept)
 
 
 def predict_baseline(model: LinearModel, x_mat, censor: bool = False) -> np.ndarray:

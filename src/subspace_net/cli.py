@@ -8,10 +8,11 @@
 Exit codes: 0 ok, 1 config error, 2 IO error (a missing or malformed data
 or model file, or a run artifact that could not be written; the other cells
 still run), 3 numeric failure in every cell (one `error:` line names the
-`status` column of `results.csv`). `validate` loads the config exactly as
-`run` does, so a config that validates also runs; `run` reads csv data
-once, before any cell. Cells run one after another in one process.
-`validate` and `predict` never import SciPy.
+`status` column of `results.csv`). No package error escapes: a cell records
+its own, and `predict` reports a bad input as an IO error. `validate` loads
+the config exactly as `run` does, so a config that validates also runs;
+`run` reads csv data once, before any cell. Cells run one after another in
+one process. `validate` and `predict` never import SciPy.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import sys
 
 from .config import load_config
 from .data import _write_table, parse_numeric_csv
-from .errors import ConfigError, ModelFormatError, ParseError, SubspaceNetError
+from .errors import ConfigError, ModelFormatError, ParseError
 from .experiments import run_experiment
 from .network import forward_batch, load_model
 
@@ -91,11 +92,7 @@ def main(argv=None) -> int:
     p_predict.set_defaults(func=_cmd_predict)
 
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except SubspaceNetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ level; every violation is reported with its JSON path. The schema (version
       "schema_version": 1,
       "experiment": "single_layer_recovery" | "deep_recovery" |
                     "depth_sweep" | "calibration_study",
-      "output_dir": str,
+      "output_dir": str,                       # a path (see below)
       "seeds": [int, ...],                     # >= 1 entry, each >= 0,
                                                # none repeated
       "data": {
@@ -18,7 +18,7 @@ level; every violation is reported with its JSON path. The schema (version
         "sigma": float,                        # planted noise scale
         "sigma_set": [float, ...],             # planted_hetero only
         "depth": int,                          # planted_deep only
-        # csv kind:
+        # csv kind, each a path:
         "features_path": str, "targets_path": str
       },
       "train": {
@@ -47,6 +47,7 @@ default and validation rule live on its field of `DataConfig`,
 `TrainSection` or `ExperimentConfig`, which are the schema the validator
 and the loader read. A list key must be a nonempty list, and then each
 entry is checked by the field's ``each`` rule and reported as ``key[i]``.
+A path is a nonempty string without NUL that `os.fsencode` and UTF-8 encode.
 For hyperparameter sweeps beyond ranks and fractions (for example the
 regularization grid 1e-4, 1e-3, 1e-2, 1e-1), run one config per value.
 """
@@ -55,6 +56,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 from .errors import ConfigError
@@ -93,8 +95,15 @@ def _one_of(options, message):
     return lambda val: None if val in options else message
 
 
-def _nonempty_string(val):
-    return None if isinstance(val, str) and val else "required nonempty string"
+def _path(val):
+    if not (isinstance(val, str) and val):
+        return "required nonempty string"
+    try:  # a path must open, and UTF-8 results.csv names the csv paths
+        os.fsencode(val)
+        val.encode("utf-8")
+    except UnicodeEncodeError:
+        return f"must encode as a file name and as UTF-8, got {val!r}"
+    return f"must not contain a NUL character, got {val!r}" if "\0" in val else None
 
 
 def _nonempty_list(val):
@@ -134,10 +143,6 @@ _NONNEGATIVE = _number(minimum=0.0)
 _POSITIVE = _number(exclusive_min=0.0)
 
 
-def _csv_path(val):
-    return None if isinstance(val, str) else "required string for csv data"
-
-
 @dataclass
 class DataConfig:
     kind: str = _setting(
@@ -149,8 +154,8 @@ class DataConfig:
     sigma: float = _setting(3.0, _NONNEGATIVE)
     sigma_set: list = _setting([0.5, 3.0], _nonempty_list, each=_POSITIVE)
     depth: int = _setting(3, _COUNT)
-    features_path: str | None = _setting(None, _csv_path)
-    targets_path: str | None = _setting(None, _csv_path)
+    features_path: str | None = _setting(None, _path)
+    targets_path: str | None = _setting(None, _path)
 
 
 @dataclass
@@ -171,7 +176,7 @@ class TrainSection:
 class ExperimentConfig:
     experiment: str = _setting(
         MISSING, _one_of(EXPERIMENTS, f"must be one of {EXPERIMENTS}"))
-    output_dir: str = _setting(MISSING, _nonempty_string)
+    output_dir: str = _setting(MISSING, _path)
     seeds: list = _setting(MISSING, _nonempty_list, each=_SEED)
     data: DataConfig = field(default_factory=DataConfig)
     train: TrainSection = field(default_factory=TrainSection)

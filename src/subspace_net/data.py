@@ -83,7 +83,6 @@ class PlantedTruth:
     us: list[np.ndarray] = field(default_factory=list)
     vs: list[np.ndarray] = field(default_factory=list)
     sigma: np.ndarray = field(default_factory=lambda: np.array([]))
-    depth: int = 1
 
     def weights(self, layer: int = 0) -> np.ndarray:
         """Planted coefficient matrix ``U V`` of one layer."""
@@ -123,7 +122,7 @@ def _generate(n, d, t, r, sigma_row, depth, seed):
         raise InvalidArgumentError(f"depth must be >= 1, got {depth}")
     _check_rank(r, t, d)
     x = _stream(seed, 0).standard_normal((n, d))
-    truth = PlantedTruth(sigma=np.array(sigma_row, dtype=np.float64), depth=depth)
+    truth = PlantedTruth(sigma=np.array(sigma_row, dtype=np.float64))
     h = x
     for k in range(1, depth + 1):
         d_in = d if k == 1 else t

@@ -164,7 +164,7 @@ def _run_single_layer_recovery(cfg: ExperimentConfig, cell: Cell, csv_data, row:
     truth, data, _, tc, sigma = _setup(cfg, cell, csv_data)
     probe = truth.us[0] if (truth is not None and cell.rank == cfg.data.r) else None
     layer, trace = train_layer(data, tc, probe=probe, sigma=sigma)
-    row["samples_seen"] = trace.samples_seen
+    row["samples_seen"] = len(trace)
     if truth is not None:
         w_hat = layer.U @ layer.V
         w_true = truth.weights(0)
@@ -197,7 +197,7 @@ def _run_deep_recovery(cfg: ExperimentConfig, cell: Cell, csv_data, row: dict):
 
 
 def _anmse_curve(net, valid, depth: int) -> list[float]:
-    return [anmse(valid.Y, forward_batch(net, valid.X, upto=min(k, net.depth)))
+    return [anmse(valid.Y, forward_batch(SubspaceNetwork(net.layers[:k]), valid.X))
             for k in range(1, depth + 1)]
 
 
@@ -205,7 +205,7 @@ def _run_depth_sweep(cfg: ExperimentConfig, cell: Cell, csv_data, row: dict):
     _, train, valid, tc, sigma = _setup(cfg, cell, csv_data)
     net, traces = expand(train, cfg.depth, tc, calibrate=cfg.calibrate, sigma=sigma)
     row["trained_depth"] = net.depth
-    row["samples_seen"] = traces[0].samples_seen
+    row["samples_seen"] = len(traces[0])
     curve = _anmse_curve(net, valid, cfg.depth)
     for k, value in enumerate(curve, start=1):
         row[f"anmse_l{k}"] = value

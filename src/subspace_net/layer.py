@@ -144,14 +144,13 @@ class TraceLog:
     i. When a planted basis was given as probe, ``subspace_diffs`` holds the
     coordinate-free recovery error (best-remix residual, see
     `metrics.aligned_subspace_difference`) and ``subspace_diffs_raw`` the raw
-    relative Frobenius difference against the probe.
+    relative Frobenius difference against the probe. ``len`` counts samples.
     """
 
     costs: np.ndarray
     du_norms: np.ndarray
     subspace_diffs: np.ndarray | None = None
     subspace_diffs_raw: np.ndarray | None = None
-    samples_seen: int = 0
 
     def __len__(self) -> int:
         return self.costs.shape[0]
@@ -337,7 +336,6 @@ def train_layer(data: Dataset, cfg: TrainConfig, probe: np.ndarray | None = None
             du_norms=du_norms[:end].copy(),
             subspace_diffs=None if sub is None else sub[:end].copy(),
             subspace_diffs_raw=None if sub_raw is None else sub_raw[:end].copy(),
-            samples_seen=end,
         )
 
     with np.errstate(over="ignore", invalid="ignore"):

@@ -105,20 +105,16 @@ class CalibrationReport:
     n_used: np.ndarray
 
 
-def forward_batch(net: SubspaceNetwork, x_mat, upto: int | None = None) -> np.ndarray:
-    """Evaluate the network on a batch of row vectors (N x D)."""
-    if upto is None:
-        upto = net.depth
-    if not 1 <= upto <= net.depth:
-        raise InvalidArgumentError(
-            f"upto must lie in [1, {net.depth}], got {upto}")
+def forward_batch(net: SubspaceNetwork, x_mat) -> np.ndarray:
+    """Evaluate the network on a batch of row vectors (N x D). The depth-k
+    prediction is that of the first k layers, ``SubspaceNetwork(net.layers[:k])``."""
     x_mat = np.asarray(x_mat, dtype=np.float64)
     if x_mat.ndim != 2 or x_mat.shape[1] != net.input_dim:
         raise DimensionError(
             f"inputs must have shape (n, {net.input_dim}), got {x_mat.shape}")
     h = predict_batch(net.layers[0], x_mat)
-    for k in range(1, upto):
-        h = predict_batch(net.layers[k], np.concatenate([h, x_mat], axis=1))
+    for layer in net.layers[1:]:
+        h = predict_batch(layer, np.concatenate([h, x_mat], axis=1))
     return h
 
 
@@ -280,9 +276,6 @@ class _Reader:
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
-    def u8(self) -> int:
-        return struct.unpack("<B", self.take(1))[0]
-
     def f64(self) -> float:
         return struct.unpack("<d", self.take(8))[0]
 
@@ -308,7 +301,7 @@ def load_model(path) -> SubspaceNetwork:
     if version != MODEL_VERSION:
         raise ModelVersionError(
             f"unsupported model format version {version} (expected {MODEL_VERSION})")
-    mode_byte = rd.u8()
+    mode_byte = rd.take(1)[0]
     if mode_byte >= len(SKIP_MODES):
         raise ModelFormatError(f"unknown skip mode byte {mode_byte}")
     input_dim, task_dim, depth = rd.u32(), rd.u32(), rd.u32()

@@ -206,7 +206,7 @@ class TestCriterion4DepthHelpsThenPlateaus:
             cfg, sigma0 = scaled_config(train.Y, rank=5, seed=seed)
             net, _ = expand(train, 10, cfg, sigma=sigma0)
             curves.append([
-                anmse(valid.Y, forward_batch(net, valid.X, upto=min(k, net.depth)))
+                anmse(valid.Y, forward_batch(SubspaceNetwork(net.layers[:k]), valid.X))
                 for k in range(1, 11)])
         med = np.median(np.array(curves), axis=0)
         wall = time.perf_counter() - start
@@ -293,7 +293,7 @@ class TestCriterion7Contracts:
         data, _ = gen_single_layer(300, 10, 5, 2, 1.0, seed=7000)
         cfg = TrainConfig(rank=2, seed=3, v_inner_steps=2)
         net, traces = expand(data, 3, cfg, stop_on_degrade=False)
-        one_pass = all(trace.samples_seen == data.n for trace in traces)
+        one_pass = all(len(trace) == data.n for trace in traces)
 
         import json
         config = {

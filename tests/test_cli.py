@@ -97,6 +97,25 @@ class TestValidate:
                                     "planted data, not csv\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key", ["output_dir", "features_path", "targets_path"])
+    @pytest.mark.parametrize("bad", ["o\u0000x", "o\ud800", "o\udc80"])
+    def test_a_path_that_validates_also_opens(self, tmp_path, capsys, key, bad):
+        # a path that `open` or `os.makedirs` would refuse, or that UTF-8
+        # results.csv cannot hold, is a config error for validate and run
+        fx, fy = tmp_path / "features.csv", tmp_path / "targets.csv"
+        save_csv(gen_single_layer(60, 8, 4, 2, 1.0, seed=31)[0], fx, fy)
+        data = {"kind": "csv", "features_path": str(fx), "targets_path": str(fy)}
+        if key == "output_dir":
+            path = write_config(tmp_path, data=data, output_dir=str(tmp_path / bad))
+        else:
+            path = write_config(tmp_path, data={**data, key: str(tmp_path / bad)})
+        for command in ("validate", "run"):
+            assert main([command, str(path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"{key}: must" in captured.err
+        assert sorted(os.listdir(tmp_path)) == ["config.json", "features.csv", "targets.csv"]
+
     def test_out_of_range_fraction(self, tmp_path, capsys):
         path = write_config(tmp_path, fractions=[1.5])
         assert main(["validate", str(path)]) == 1
@@ -229,7 +248,7 @@ PROBLEM_TABLE = [
      ["data.features_path: required string for csv data",
       "data.targets_path: required string for csv data"]),
     ({"data": {"kind": "csv", "features_path": 5, "targets_path": None}}, (),
-     ["data.features_path: required string for csv data",
+     ["data.features_path: required nonempty string",
       "data.targets_path: required string for csv data"]),
     # train section
     ({"train": {"warp_speed": 9}}, (), ["train.warp_speed: unknown key"]),
@@ -296,7 +315,7 @@ NEW_REJECTIONS = [
                "n": "many"}}, (),
      ["data.n: must be a number, got str"]),
     ({"data": {"kind": "planted", "features_path": 5}}, (),
-     ["data.features_path: required string for csv data"]),
+     ["data.features_path: required nonempty string"]),
     ({"data": {"kind": "csv", "features_path": "x.csv", "targets_path": "y.csv"},
       "train": {"sigma": "planted"}}, (),
      ["train.sigma: 'planted' requires planted data, not csv"]),
@@ -318,6 +337,23 @@ NEW_REJECTIONS = [
      ["train.sigma: must be a positive number or one of ('scaled', 'planted')"]),
     ({"data": {"kind": "planted_hetero", "sigma_set": [0.5, math.inf]}}, (),
      ["data.sigma_set[1]: must be finite, got inf"]),
+    # a path that validates also opens: no NUL, and no lone surrogate
+    ({"output_dir": "o\u0000x"}, (),
+     ["$.output_dir: must not contain a NUL character, got 'o\\x00x'"]),
+    ({"output_dir": "o\ud800"}, (),
+     ["$.output_dir: must encode as a file name and as UTF-8, got 'o\\ud800'"]),
+    ({"data": {"kind": "csv", "features_path": "o\u0000x", "targets_path": "y.csv"}}, (),
+     ["data.features_path: must not contain a NUL character, got 'o\\x00x'"]),
+    ({"data": {"kind": "csv", "features_path": "o\ud800", "targets_path": "y.csv"}}, (),
+     ["data.features_path: must encode as a file name and as UTF-8, got 'o\\ud800'"]),
+    ({"data": {"kind": "csv", "features_path": "x.csv", "targets_path": "o\u0000x"}}, (),
+     ["data.targets_path: must not contain a NUL character, got 'o\\x00x'"]),
+    ({"data": {"kind": "csv", "features_path": "x.csv", "targets_path": "o\ud800"}}, (),
+     ["data.targets_path: must encode as a file name and as UTF-8, got 'o\\ud800'"]),
+    # an empty path, and a surrogate-escaped byte that results.csv cannot hold
+    ({"data": {"kind": "csv", "features_path": "", "targets_path": "y\udc80"}}, (),
+     ["data.features_path: required nonempty string",
+      "data.targets_path: must encode as a file name and as UTF-8, got 'y\\udc80'"]),
 ]
 
 
@@ -759,8 +795,7 @@ def test_trace_csv_bytes_are_those_of_csv_writer(probe):
     diffs = np.array([0.5, 1.0 / 3.0, math.nan, 1e17, 0.25]) if probe else None
     trace = TraceLog(costs=costs, du_norms=du,
                      subspace_diffs=diffs,
-                     subspace_diffs_raw=None if diffs is None else 2 * diffs,
-                     samples_seen=5)
+                     subspace_diffs_raw=None if diffs is None else 2 * diffs)
     def cell(v):
         return f"{float(v):.17g}"
 

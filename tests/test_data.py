@@ -66,8 +66,8 @@ class TestGenDeep:
 
     def test_three_layer_shapes(self):
         data, truth = gen_deep(40, 10, 6, 3, 1.0, depth=3, seed=2)
-        assert truth.depth == 3
         assert len(truth.us) == 3
+        assert len(truth.vs) == 3
         assert truth.vs[0].shape == (3, 10)
         assert truth.vs[1].shape == (3, 6)
         assert truth.vs[2].shape == (3, 6)

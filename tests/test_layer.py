@@ -273,13 +273,12 @@ class TestTrainLayer:
         cfg = TrainConfig(rank=2, seed=0)
         layer, trace = train_layer(data, cfg)
         assert len(trace) == 1
-        assert trace.samples_seen == 1
 
     def test_one_pass_counter(self):
         data, _ = gen_single_layer(57, 6, 4, 2, 1.0, seed=0)
         layer, trace = train_layer(data, TrainConfig(rank=2, seed=1))
-        assert trace.samples_seen == data.n
         assert len(trace) == data.n
+        assert len(trace.du_norms) == data.n
 
     def test_deterministic(self):
         data, _ = gen_single_layer(40, 6, 4, 2, 1.0, seed=2)
@@ -371,7 +370,7 @@ class TestTrainLayer:
             _warnings.simplefilter("ignore")  # saturation precedes the blow-up
             train_layer(data, big)
         assert excinfo.value.iteration is not None
-        assert excinfo.value.trace.samples_seen == excinfo.value.iteration
+        assert len(excinfo.value.trace) == excinfo.value.iteration
         u_last, v_last = excinfo.value.last_state
         assert np.isfinite(u_last).all() and np.isfinite(v_last).all()
 
@@ -385,7 +384,7 @@ class TestTrainLayer:
             train_layer(data, cfg, probe=truth.us[0])
         err = excinfo.value
         assert str(err) == "basis update diverged at sample 1"
-        assert err.iteration == 1 and err.trace.samples_seen == err.iteration
+        assert err.iteration == 1 and len(err.trace) == err.iteration
         u_last, v_last = err.last_state
         assert np.isfinite(u_last).all() and np.isfinite(v_last).all()
         # the partial probe block was flushed; the raw Frobenius difference of

@@ -116,12 +116,15 @@ class TestForward:
             assert np.all(forward_batch(net, rng.standard_normal((1, 4))) >= 0)
 
     def test_upto_bounds(self):
+        # the depth-k network is the first k layers: no layer is no network,
+        # and a prefix past the depth is the whole network
         rng = np.random.default_rng(3)
         net = make_net(rng, depth=2)
-        with pytest.raises(InvalidArgumentError):
-            forward_batch(net, np.zeros((1, 4)), upto=0)
-        with pytest.raises(InvalidArgumentError):
-            forward_batch(net, np.zeros((1, 4)), upto=3)
+        with pytest.raises(EmptyInputError):
+            SubspaceNetwork(net.layers[:0])
+        x = rng.standard_normal((3, 4))
+        np.testing.assert_array_equal(
+            forward_batch(SubspaceNetwork(net.layers[:3]), x), forward_batch(net, x))
 
     def test_forward_pure(self):
         rng = np.random.default_rng(4)
@@ -233,7 +236,7 @@ class TestExpand:
         net, traces = expand(data, 3, TrainConfig(rank=2, seed=13), stop_on_degrade=False)
         assert len(traces) == 3
         for trace in traces:
-            assert trace.samples_seen == data.n
+            assert len(trace) == data.n
 
     def test_frozen_layers_untouched_by_expansion(self):
         data, _ = gen_single_layer(30, 6, 4, 2, 1.0, seed=14)
@@ -274,7 +277,7 @@ class TestExpand:
         for layer in net.layers[1:]:
             assert layer.sigma.max() <= 3.0 * truth.sigma.max()
         for k in range(1, net.depth + 1):
-            assert anmse(data.Y, forward_batch(net, data.X, upto=k)) < 1.0
+            assert anmse(data.Y, forward_batch(SubspaceNetwork(net.layers[:k]), data.X)) < 1.0
 
     def test_bad_depth(self):
         data, _ = gen_single_layer(10, 4, 3, 2, 1.0, seed=20)
@@ -288,7 +291,7 @@ class TestExpand:
         data, _ = gen_single_layer(250, 10, 5, 2, 1.0, seed=21)
         cfg = TrainConfig(rank=2, seed=22, v_inner_steps=2)
         net, _ = expand(data, 6, cfg)
-        curve = [anmse(data.Y, forward_batch(net, data.X, upto=k))
+        curve = [anmse(data.Y, forward_batch(SubspaceNetwork(net.layers[:k]), data.X))
                  for k in range(1, net.depth + 1)]
         assert all(b <= a + 1e-12 for a, b in zip(curve, curve[1:]))
 
