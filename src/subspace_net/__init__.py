@@ -10,11 +10,6 @@ and an experiment CLI round out the package.
 """
 
 from .baselines import LinearModel, fit_ridge, predict_baseline
-from .censored import (
-    CensoredNllTerm,
-    censored_nll,
-    grad_mu_censored_nll,
-)
 from .data import (
     Dataset,
     PlantedTruth,
@@ -29,11 +24,8 @@ from .layer import (
     SubspaceLayer,
     TraceLog,
     TrainConfig,
-    instantaneous_cost,
     predict_batch,
     predict_linear_batch,
-    refine_u_row,
-    sketch_v,
     train_layer,
 )
 from .metrics import (

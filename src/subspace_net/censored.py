@@ -23,11 +23,6 @@ because ``log_ndtr`` overflows to ``-inf`` once ``z^2`` does. Both are bound
 as module globals by the first `NoiseTerms` (every kernel call goes through
 one), so neither importing the package nor ``ssn predict`` loads SciPy.
 
-Scalar operations (`censored_nll`, `grad_mu_censored_nll`) validate their
-inputs and are the reference surface; the ``*_array`` variants are the
-vectorized fast path used by training loops and assume validated inputs.
-Both share one implementation.
-
 What the noise scales fix is computed once per layer as `NoiseTerms`:
 ``log(sigma)``, ``1/sigma^2`` and the Mills-ratio scale
 ``sqrt(2/pi)/sigma``. What a sample's targets fix is computed once per
@@ -47,11 +42,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, SaturationWarning
+from .errors import SaturationWarning
 
 LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -69,26 +63,6 @@ def _bind_special():
     if "log_ndtr" not in globals():
         from scipy import special
         erfcx, log_ndtr = special.erfcx, special.log_ndtr
-
-
-@dataclass(frozen=True)
-class CensoredNllTerm:
-    """One observation of the censored model: target, predictor, noise scale."""
-
-    y: float
-    mu: float
-    sigma: float
-
-    def __post_init__(self):
-        for name in ("y", "mu", "sigma"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float, np.floating, np.integer))
-                    and math.isfinite(float(v))):
-                raise InvalidArgumentError(f"{name} must be a finite real, got {v!r}")
-        if self.sigma <= 0:
-            raise InvalidArgumentError(f"sigma must be positive, got {self.sigma}")
-        if self.y < 0:
-            raise InvalidArgumentError(f"y must be nonnegative, got {self.y}")
 
 
 class NoiseTerms:
@@ -137,8 +111,8 @@ def _cap_censored_ratio(ratio):
 
 
 def censored_nll_array(sample: CensoredSample, mu) -> np.ndarray:
-    """Elementwise censored negative log-likelihood (vectorized fast path)
-    of the predictors ``mu`` (1-D float64, one per entry of ``sample``).
+    """Elementwise censored negative log-likelihood of the predictors
+    ``mu`` (1-D float64, one per entry of ``sample``).
 
     Entries with ``y <= 0`` use the censored branch. The sample is assumed
     validated (sigma > 0, y >= 0).
@@ -161,8 +135,8 @@ def censored_nll_array(sample: CensoredSample, mu) -> np.ndarray:
 
 
 def grad_mu_censored_nll_array(sample: CensoredSample, mu) -> np.ndarray:
-    """Elementwise d(censored_nll)/d(mu) (vectorized fast path), with
-    arguments as in `censored_nll_array`.
+    """Elementwise derivative of `censored_nll_array` with respect to
+    ``mu``, with the same arguments.
 
     Uncensored entries contribute ``-(y - mu)/sigma^2``; censored entries the
     inverse Mills ratio ``pdf(z) / (sigma * Phi(z))`` with ``z = -mu/sigma``,
@@ -180,24 +154,3 @@ def grad_mu_censored_nll_array(sample: CensoredSample, mu) -> np.ndarray:
         np.divide(sample.mills_censored, ratio, out=ratio)
         out[idx] = ratio
     return out
-
-
-def _one_entry(term: CensoredNllTerm):
-    """The kernel arguments of one term: a one-entry sample and predictor."""
-    y, sigma, mu = np.array([[term.y], [term.sigma], [term.mu]], dtype=np.float64)
-    return CensoredSample(y, NoiseTerms(sigma)), mu
-
-
-def censored_nll(term: CensoredNllTerm) -> float:
-    """Negative log-likelihood of one censored observation."""
-    return float(censored_nll_array(*_one_entry(term))[0])
-
-
-def grad_mu_censored_nll(term: CensoredNllTerm) -> float:
-    """Derivative of `censored_nll` with respect to the linear predictor.
-
-    Callers apply the chain rule onto the factor matrices themselves: the
-    gradient with respect to a sketch row or basis row is this scalar times
-    the corresponding input vector.
-    """
-    return float(grad_mu_censored_nll_array(*_one_entry(term))[0])

@@ -89,10 +89,14 @@ class PlantedTruth:
         return self.us[layer] @ self.vs[layer]
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an integer (a bool is not). numpy rejects a
+    fractional seed, size or count with a bare ValueError or TypeError."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_seed(seed: int):
-    # numpy's seeding rejects a negative or fractional seed with a bare
-    # ValueError or TypeError
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+    if not (_is_int(seed) and seed >= 0):
         raise InvalidArgumentError(f"seed must be a nonnegative integer, got {seed}")
 
 

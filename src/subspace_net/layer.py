@@ -36,7 +36,7 @@ from .censored import (
     censored_nll_array,
     grad_mu_censored_nll_array,
 )
-from .data import Dataset, _check_rank, _check_seed
+from .data import Dataset, _check_rank, _check_seed, _is_int
 from .errors import (
     DegenerateInputError,
     DimensionError,
@@ -77,10 +77,10 @@ class TrainConfig:
             raise InvalidArgumentError("step sizes eta and mu must be positive and finite")
         if not 0 <= self.lam < math.inf:
             raise InvalidArgumentError("lam must be nonnegative and finite")
-        if not self.rank >= 1:
+        if not (_is_int(self.rank) and self.rank >= 1):
             raise InvalidArgumentError("rank must be a positive integer")
-        if not self.v_inner_steps >= 1:
-            raise InvalidArgumentError("v_inner_steps must be >= 1")
+        if not (_is_int(self.v_inner_steps) and self.v_inner_steps >= 1):
+            raise InvalidArgumentError("v_inner_steps must be a positive integer")
         if not 0 < self.init_scale < math.inf:
             raise InvalidArgumentError("init_scale must be positive and finite")
         if not 0 < self.step_offset < math.inf:
@@ -156,34 +156,10 @@ class TraceLog:
         return self.costs.shape[0]
 
 
-def _check_vector(v, length, name):
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (length,):
-        raise DimensionError(f"{name} must have shape ({length},), got {v.shape}")
-    return v
-
-
 def _cost(lin, sample, u, v, lam) -> float:
     """Cost of one sample whose linear predictor ``U V x`` is ``lin``."""
     nll = float(censored_nll_array(sample, lin).sum())
     return nll + 0.5 * lam * (float(np.vdot(u, u)) + float(np.vdot(v, v)))
-
-
-def _check_target(y, length, name):
-    y = _check_vector(y, length, name)
-    # written so that NaN fails it
-    if not ((y >= 0) & (y < math.inf)).all():
-        raise InvalidArgumentError(f"{name} must be nonnegative and finite")
-    return y
-
-
-def instantaneous_cost(x, y, layer: SubspaceLayer) -> float:
-    """Negative log-likelihood of one sample plus both Frobenius penalties."""
-    x = _check_vector(x, layer.d_in, "x")
-    y = _check_target(y, layer.t_out, "y")
-    lin = layer.U @ (layer.V @ x)
-    sample = CensoredSample(y, NoiseTerms(layer.sigma))
-    return _cost(lin, sample, layer.U, layer.V, layer.lam)
 
 
 def _sketch_step(x, xx, lin, sample, u, v, lam, eta, steps):
@@ -222,42 +198,6 @@ def _refine_step(vx, lin, sample, u, lam, mu):
     u_new = (1.0 - mu * lam) * u
     u_new -= (mu * coeff)[:, None] * vx
     return u_new
-
-
-def sketch_v(x, y, layer: SubspaceLayer, cfg: TrainConfig) -> np.ndarray:
-    """Sketch the sample into the current basis: ``cfg.v_inner_steps``
-    gradient steps on V at step size ``cfg.eta``, warm-started from the
-    layer's current sketch. Returns the updated V; the layer is not mutated.
-    """
-    x = _check_vector(x, layer.d_in, "x")
-    y = _check_target(y, layer.t_out, "y")
-    sample = CensoredSample(y, NoiseTerms(layer.sigma))
-    v, _, _ = _sketch_step(x, x @ x, layer.U @ (layer.V @ x), sample, layer.U,
-                           layer.V, layer.lam, cfg.eta, cfg.v_inner_steps)
-    if not np.isfinite(v).all():
-        raise StepSizeError("sketch update diverged", iteration=0)
-    return v
-
-
-def refine_u_row(t: int, x, y_t: float, layer: SubspaceLayer,
-                 cfg: TrainConfig) -> np.ndarray:
-    """One gradient step on basis row t against the layer's current sketch.
-
-    Rows are independent, so refining all tasks may run in parallel as long
-    as every row reads the same sketch. Returns the updated row; the layer
-    is not mutated.
-    """
-    if not 0 <= t < layer.t_out:
-        raise InvalidArgumentError(f"task index {t} out of range [0, {layer.t_out})")
-    x = _check_vector(x, layer.d_in, "x")
-    y = _check_target([y_t], 1, "y_t")
-    u = layer.U[t:t + 1]
-    vx = layer.V @ x
-    sample = CensoredSample(y, NoiseTerms(layer.sigma[t:t + 1]))
-    row = _refine_step(vx, u @ vx, sample, u, layer.lam, cfg.mu)[0]
-    if not np.isfinite(row).all():
-        raise StepSizeError("basis row update diverged", iteration=0)
-    return row
 
 
 def _step_scale(cfg: TrainConfig, i: int) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, _atomic_write, _sub_seed
+from .data import Dataset, _atomic_write, _is_int, _sub_seed
 from .errors import (
     ChecksumError,
     DimensionError,
@@ -190,8 +190,8 @@ def expand(data: Dataset, depth: int, cfg: TrainConfig, calibrate: bool = False,
     k's initialization seed is derived from ``cfg.seed`` and k (layer 0
     uses ``cfg.seed`` itself).
     """
-    if depth < 1:
-        raise InvalidArgumentError(f"depth must be >= 1, got {depth}")
+    if not (_is_int(depth) and depth >= 1):
+        raise InvalidArgumentError(f"depth must be a positive integer, got {depth!r}")
 
     t = data.t
     sigma_k = noise = _noise_scales(sigma, t)

@@ -18,19 +18,24 @@ import math
 import time
 
 import numpy as np
+from reference import numeric_gradient
 
 import subspace_net as sn
 from subspace_net.baselines import fit_ridge, predict_baseline
-from subspace_net.censored import CensoredNllTerm, censored_nll, grad_mu_censored_nll
+from subspace_net.censored import (
+    CensoredSample,
+    NoiseTerms,
+    censored_nll_array,
+    grad_mu_censored_nll_array,
+)
 from subspace_net.cli import main
 from subspace_net.data import Dataset, gen_deep, gen_heteroscedastic, gen_single_layer, load_csv, save_csv, split
 from subspace_net.layer import (
-    SubspaceLayer,
     TrainConfig,
-    instantaneous_cost,
+    _cost,
+    _refine_step,
+    _sketch_step,
     predict_batch,
-    refine_u_row,
-    sketch_v,
     train_layer,
 )
 from subspace_net.metrics import (
@@ -70,66 +75,48 @@ class TestCriterion1GradientOracles:
         start = time.perf_counter()
         rng = np.random.default_rng(101)
 
-        # scalar gradient vs central finite differences, 1000 instances
-        for _ in range(1000):
-            y = 0.0 if rng.random() < 0.5 else float(rng.uniform(1e-3, 10))
-            mu = float(rng.uniform(-10, 10))
-            sigma = float(rng.uniform(0.1, 5))
-            grad = grad_mu_censored_nll(CensoredNllTerm(y, mu, sigma))
-            h = 1e-5 * max(1.0, abs(mu))
-            fd = (censored_nll(CensoredNllTerm(y, mu + h, sigma))
-                  - censored_nll(CensoredNllTerm(y, mu - h, sigma))) / (2 * h)
-            assert abs(grad - fd) / max(abs(grad), abs(fd), 1e-12) < 1e-5
+        def within(step, fd, floor):
+            denom = np.maximum(np.maximum(np.abs(step), np.abs(fd)), floor)
+            return np.all(np.abs(step - fd) / denom < 1e-5)
 
-        # sketch step vs finite differences of the instantaneous cost
+        # kernel gradient vs central finite differences of the kernel NLL,
+        # 1000 entries of one sample
+        y, mu, sigma = np.array([
+            (0.0 if rng.random() < 0.5 else float(rng.uniform(1e-3, 10)),
+             float(rng.uniform(-10, 10)), float(rng.uniform(0.1, 5)))
+            for _ in range(1000)]).T
+        sample = CensoredSample(y, NoiseTerms(sigma))
+        h = 1e-5 * np.maximum(1.0, np.abs(mu))
+        fd = (censored_nll_array(sample, mu + h) - censored_nll_array(sample, mu - h)) / (2 * h)
+        assert within(grad_mu_censored_nll_array(sample, mu), fd, 1e-12)
+
+        # one sketch step vs finite differences of the sample's cost in V
         for _ in range(1000):
-            layer = SubspaceLayer(U=rng.standard_normal((2, 1)),
-                                  V=rng.standard_normal((1, 3)),
-                                  sigma=rng.uniform(0.5, 2.0, 2),
-                                  lam=float(rng.uniform(0, 1)))
+            u, v = rng.standard_normal((2, 1)), rng.standard_normal((1, 3))
+            sigma, lam = rng.uniform(0.5, 2.0, 2), float(rng.uniform(0, 1))
             x = rng.standard_normal(3)
             y = np.where(rng.random(2) < 0.5, 0.0, rng.uniform(0.1, 3.0, 2))
-            cfg = TrainConfig(eta=1e-3, mu=1e-3, lam=layer.lam, rank=1,
-                              v_inner_steps=1, seed=0, step_decay=False)
-            step = (layer.V - sketch_v(x, y, layer, cfg)) / cfg.eta
-            fd = np.zeros_like(layer.V)
-            h = 1e-6
-            for i in range(1):
-                for j in range(3):
-                    vp = layer.V.copy(); vp[i, j] += h
-                    vm = layer.V.copy(); vm[i, j] -= h
-                    up = SubspaceLayer(U=layer.U, V=vp, sigma=layer.sigma, lam=layer.lam)
-                    dn = SubspaceLayer(U=layer.U, V=vm, sigma=layer.sigma, lam=layer.lam)
-                    fd[i, j] = (instantaneous_cost(x, y, up)
-                                - instantaneous_cost(x, y, dn)) / (2 * h)
-            denom = np.maximum(np.maximum(np.abs(step), np.abs(fd)), 1e-8)
-            assert np.all(np.abs(step - fd) / denom < 1e-5)
+            sample = CensoredSample(y, NoiseTerms(sigma))
+            v_new, _, _ = _sketch_step(x, x @ x, u @ (v @ x), sample, u, v, lam, 1e-3, 1)
+            fd = numeric_gradient(lambda vv: _cost(u @ (vv @ x), sample, u, vv, lam), v, 1e-6)
+            assert within((v - v_new) / 1e-3, fd, 1e-8)
 
-        # refinement step vs finite differences of the per-task objective
+        # refinement of one basis row vs finite differences of its task's
+        # objective
         for _ in range(1000):
-            layer = SubspaceLayer(U=rng.standard_normal((3, 2)),
-                                  V=rng.standard_normal((2, 4)),
-                                  sigma=rng.uniform(0.5, 2.0, 3),
-                                  lam=float(rng.uniform(0, 1)))
+            u, v = rng.standard_normal((3, 2)), rng.standard_normal((2, 4))
+            sigma, lam = rng.uniform(0.5, 2.0, 3), float(rng.uniform(0, 1))
             x = rng.standard_normal(4)
             t_idx = int(rng.integers(0, 3))
             y_t = 0.0 if rng.random() < 0.5 else float(rng.uniform(0.1, 3.0))
-            cfg = TrainConfig(eta=1e-3, mu=1e-3, lam=layer.lam, rank=2, seed=0)
-            step = (layer.U[t_idx] - refine_u_row(t_idx, x, y_t, layer, cfg)) / cfg.mu
+            sample = CensoredSample(np.array([y_t]), NoiseTerms(sigma[t_idx:t_idx + 1]))
+            row, vx = u[t_idx:t_idx + 1], v @ x
+            step = (row - _refine_step(vx, row @ vx, sample, row, lam, 1e-3)) / 1e-3
 
-            def g_t(row):
-                mu_t = float(row @ (layer.V @ x))
-                return (censored_nll(CensoredNllTerm(y_t, mu_t, float(layer.sigma[t_idx])))
-                        + 0.5 * layer.lam * float(row @ row))
+            def g_t(r):
+                return censored_nll_array(sample, r @ vx)[0] + 0.5 * lam * np.vdot(r, r)
 
-            fd = np.zeros(2)
-            h = 1e-6
-            for j in range(2):
-                up = layer.U[t_idx].copy(); up[j] += h
-                dn = layer.U[t_idx].copy(); dn[j] -= h
-                fd[j] = (g_t(up) - g_t(dn)) / (2 * h)
-            denom = np.maximum(np.maximum(np.abs(step), np.abs(fd)), 1e-8)
-            assert np.all(np.abs(step - fd) / denom < 1e-5)
+            assert within(step, numeric_gradient(g_t, row, 1e-6), 1e-8)
 
         wall = time.perf_counter() - start
         assert report("1 (gradient oracle suite)", wall < 10.0,

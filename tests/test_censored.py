@@ -2,8 +2,8 @@
 
 Expected values are produced by independent oracles: composite Simpson
 quadrature of the density for tail probabilities, bisection for quantiles,
-central finite differences for gradients, and the entry formulas written
-out directly, with no precomputed noise terms, for the fast kernels.
+central finite differences for gradients, and the entry formulas that
+`reference.py` writes out with no precomputed noise terms.
 """
 
 import math
@@ -13,20 +13,16 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.special import erfcx, log_ndtr
+from reference import reference_grad, reference_nll
 
 from subspace_net.censored import (
     CENSORED_Z_CAP,
-    LOG_SQRT_2PI,
-    CensoredNllTerm,
     CensoredSample,
     NoiseTerms,
-    censored_nll,
     censored_nll_array,
-    grad_mu_censored_nll,
     grad_mu_censored_nll_array,
 )
-from subspace_net.errors import InvalidArgumentError, SaturationWarning
+from subspace_net.errors import SaturationWarning
 
 
 def simpson_tail(z, upper=14.0, n=20001):
@@ -37,83 +33,73 @@ def simpson_tail(z, upper=14.0, n=20001):
     return h / 3 * (ys[0] + ys[-1] + 4 * ys[1:-1:2].sum() + 2 * ys[2:-1:2].sum())
 
 
+def sample_of(y, sigma, n):
+    """A sample of ``n`` entries with targets ``y`` and noise scales
+    ``sigma``, each a scalar or a length-``n`` sequence."""
+    return CensoredSample(np.broadcast_to(np.asarray(y, dtype=float), n),
+                          NoiseTerms(np.broadcast_to(np.asarray(sigma, dtype=float), n)))
+
+
 def log_phi(z):
-    """``log Phi(z)`` as the censored branch computes it: the NLL of a zero
-    target at ``mu = -z``, ``sigma = 1`` is ``-log Phi(z)``."""
-    return -censored_nll(CensoredNllTerm(0.0, -z, 1.0))
+    """``log Phi(z)`` as the censored branch computes it: the NLL of zero
+    targets at ``mu = -z``, ``sigma = 1`` is ``-log Phi(z)``."""
+    z = np.asarray(z, dtype=float)
+    return -censored_nll_array(sample_of(0.0, 1.0, z.size), -z)
 
 
 class TestLogStdNormalCdf:
     def test_at_zero(self):
-        assert log_phi(0.0) == pytest.approx(math.log(0.5), rel=1e-14)
+        assert log_phi([0.0])[0] == pytest.approx(math.log(0.5), rel=1e-14)
 
     def test_against_quadrature(self):
-        for z in (-8.0, -5.0, -3.0, -1.0, 0.0, 1.0, 4.0):
-            expected = math.log(1.0 - simpson_tail(z)) if z > 0 else \
-                math.log(simpson_tail(-z))
-            assert log_phi(z) == pytest.approx(expected, rel=1e-9)
+        zs = [-8.0, -5.0, -3.0, -1.0, 0.0, 1.0, 4.0]
+        expected = [math.log(1.0 - simpson_tail(z)) if z > 0 else
+                    math.log(simpson_tail(-z)) for z in zs]
+        np.testing.assert_allclose(log_phi(zs), expected, rtol=1e-9)
 
     def test_asymptotic_branch_continuity(self):
         # agrees with the direct erfc evaluation down to where erfc underflows
-        for z in (-32.9, -33.1, -35.0, -37.0):
-            direct = math.log(0.5 * math.erfc(-z / math.sqrt(2)))
-            assert log_phi(z) == pytest.approx(direct, rel=1e-11)
+        zs = [-32.9, -33.1, -35.0, -37.0]
+        direct = [math.log(0.5 * math.erfc(-z / math.sqrt(2))) for z in zs]
+        np.testing.assert_allclose(log_phi(zs), direct, rtol=1e-11)
 
     def test_deep_tail_finite(self):
-        for z in (-50.0, -100.0, -1000.0):
-            val = log_phi(z)
-            assert math.isfinite(val)
-            assert val < -1000.0
-
-
-class TestCensoredNllTerm:
-    def test_invariants_enforced(self):
-        with pytest.raises(InvalidArgumentError):
-            CensoredNllTerm(y=-0.5, mu=0.0, sigma=1.0)
-        with pytest.raises(InvalidArgumentError):
-            CensoredNllTerm(y=1.0, mu=0.0, sigma=0.0)
-        with pytest.raises(InvalidArgumentError):
-            CensoredNllTerm(y=1.0, mu=math.inf, sigma=1.0)
+        vals = log_phi([-50.0, -100.0, -1000.0])
+        assert np.isfinite(vals).all() and (vals < -1000.0).all()
 
 
 class TestCensoredNll:
     def test_censored_at_zero_predictor(self):
-        assert censored_nll(CensoredNllTerm(0.0, 0.0, 1.0)) == pytest.approx(
-            math.log(2.0), rel=1e-12)
+        got = censored_nll_array(sample_of(0.0, 1.0, 1), np.zeros(1))[0]
+        assert got == pytest.approx(math.log(2.0), rel=1e-12)
 
     def test_zero_residual_leaves_constant(self):
-        assert censored_nll(CensoredNllTerm(2.0, 2.0, 1.0)) == pytest.approx(
-            0.5 * math.log(2 * math.pi), rel=1e-12)
+        got = censored_nll_array(sample_of(2.0, 1.0, 1), np.array([2.0]))[0]
+        assert got == pytest.approx(0.5 * math.log(2 * math.pi), rel=1e-12)
 
     def test_censored_against_quadrature(self):
         # y=0, mu=1.5, sigma=0.5: -log Phi(-3), Phi(-3) by the Simpson oracle
-        phi_m3 = simpson_tail(3.0)
-        expected = -math.log(phi_m3)
-        got = censored_nll(CensoredNllTerm(0.0, 1.5, 0.5))
-        assert got == pytest.approx(expected, rel=1e-9)
+        got = censored_nll_array(sample_of(0.0, 0.5, 1), np.array([1.5]))[0]
+        assert got == pytest.approx(-math.log(simpson_tail(3.0)), rel=1e-9)
         assert got == pytest.approx(6.6077, abs=5e-5)
 
     def test_uncensored_closed_form(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            y = rng.uniform(0.1, 10)
-            mu = rng.uniform(-10, 10)
-            sigma = rng.uniform(0.1, 5)
-            expected = ((y - mu) ** 2 / (2 * sigma ** 2) + math.log(sigma)
-                        + 0.5 * math.log(2 * math.pi))
-            assert censored_nll(CensoredNllTerm(y, mu, sigma)) == pytest.approx(
-                expected, rel=1e-12)
+        # drawn entry by entry (y, mu, sigma), as a loop over entries would
+        y, mu, sigma = np.random.default_rng(3).uniform(
+            [0.1, -10, 0.1], [10, 10, 5], size=(100, 3)).T
+        expected = ((y - mu) ** 2 / (2 * sigma ** 2) + np.log(sigma)
+                    + 0.5 * math.log(2 * math.pi))
+        np.testing.assert_allclose(censored_nll_array(sample_of(y, sigma, 100), mu),
+                                   expected, rtol=1e-12)
 
     def test_censored_monotone_in_mu(self):
-        mus = np.linspace(-35, 35, 401)
-        vals = [censored_nll(CensoredNllTerm(0.0, m, 1.0)) for m in mus]
-        assert all(b >= a for a, b in zip(vals, vals[1:]))
+        vals = censored_nll_array(sample_of(0.0, 1.0, 401), np.linspace(-35, 35, 401))
+        assert (np.diff(vals) >= 0).all()
 
     def test_stable_over_wide_ratio_range(self):
-        for mu_over_sigma in np.linspace(-30, 30, 121):
-            term = CensoredNllTerm(0.0, float(mu_over_sigma), 1.0)
-            assert math.isfinite(censored_nll(term))
-            assert math.isfinite(grad_mu_censored_nll(term))
+        sample, mu = sample_of(0.0, 1.0, 121), np.linspace(-30, 30, 121)
+        for kernel in (censored_nll_array, grad_mu_censored_nll_array):
+            assert np.isfinite(kernel(sample, mu)).all()
 
     def test_saturation_warns_never_nan(self):
         sample = CensoredSample(np.array([0.0]), NoiseTerms(np.array([1.0])))
@@ -127,37 +113,34 @@ class TestCensoredNll:
             assert np.isfinite(val).all()
 
 
-def central_diff(f, x, h):
-    return (f(x + h) - f(x - h)) / (2 * h)
+def relative_fd_error(y, mu, sigma, h):
+    """The gradient kernel's error relative to central differences of the
+    NLL kernel, at every entry."""
+    sample = sample_of(y, sigma, len(mu))
+    grad = grad_mu_censored_nll_array(sample, mu)
+    fd = (censored_nll_array(sample, mu + h) - censored_nll_array(sample, mu - h)) / (2 * h)
+    return np.abs(grad - fd) / np.maximum(np.maximum(np.abs(grad), np.abs(fd)), 1e-300)
 
 
 class TestGradMu:
     def test_uncensored_closed_form(self):
-        assert grad_mu_censored_nll(CensoredNllTerm(3.0, 1.0, 1.0)) == pytest.approx(
-            -2.0, rel=1e-12)
+        got = grad_mu_censored_nll_array(sample_of(3.0, 1.0, 1), np.ones(1))[0]
+        assert got == pytest.approx(-2.0, rel=1e-12)
 
     def test_censored_at_zero(self):
         expected = 2.0 / math.sqrt(2 * math.pi)
-        assert grad_mu_censored_nll(CensoredNllTerm(0.0, 0.0, 1.0)) == pytest.approx(
-            expected, rel=1e-12)
+        got = grad_mu_censored_nll_array(sample_of(0.0, 1.0, 1), np.zeros(1))[0]
+        assert got == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(0.7978846, abs=1e-7)
 
     def test_matches_finite_differences(self):
-        # acceptance-grade property: 1000 random terms, relative error < 1e-5
+        # acceptance-grade property: 1000 random entries, relative error < 1e-5
         rng = np.random.default_rng(11)
-        checked = 0
-        while checked < 1000:
-            y = 0.0 if rng.random() < 0.5 else rng.uniform(1e-3, 10)
-            mu = rng.uniform(-10, 10)
-            sigma = rng.uniform(0.1, 5)
-            term = CensoredNllTerm(y, mu, sigma)
-            grad = grad_mu_censored_nll(term)
-            h = 1e-5 * max(1.0, abs(mu))
-            fd = central_diff(
-                lambda m: censored_nll(CensoredNllTerm(y, m, sigma)), mu, h)
-            denom = max(abs(grad), abs(fd), 1e-12)
-            assert abs(grad - fd) / denom < 1e-5, (y, mu, sigma, grad, fd)
-            checked += 1
+        y, mu, sigma = np.array([
+            (0.0 if rng.random() < 0.5 else rng.uniform(1e-3, 10),
+             rng.uniform(-10, 10), rng.uniform(0.1, 5)) for _ in range(1000)]).T
+        err = relative_fd_error(y, mu, sigma, 1e-5 * np.maximum(1.0, np.abs(mu)))
+        assert (err < 1e-5).all(), err.max()
 
     def test_deep_tail_matches_mills_series(self):
         # z = -mu/sigma far below zero: the inverse Mills ratio pdf(z)/Phi(z)
@@ -180,27 +163,11 @@ class TestGradMu:
         mu = ratio * sigma
         y = 0.0 if censored else y_ratio * sigma
         assume(censored or abs(y_ratio - ratio) > 0.1)
-        grad = grad_mu_censored_nll(CensoredNllTerm(y, mu, sigma))
-        fd = central_diff(
-            lambda m: censored_nll(CensoredNllTerm(y, m, sigma)), mu, 1e-5 * sigma)
-        denom = max(abs(grad), abs(fd), 1e-300)
-        assert abs(grad - fd) / denom < 1e-5, (y, mu, sigma, grad, fd)
+        err = relative_fd_error(y, np.array([mu]), sigma, 1e-5 * sigma)
+        assert err[0] < 1e-5, (y, mu, sigma)
 
 
 class TestArrayKernels:
-    def test_match_scalar_loop(self):
-        rng = np.random.default_rng(5)
-        y = np.where(rng.random(500) < 0.4, 0.0, rng.uniform(0.01, 10, 500))
-        mu = rng.uniform(-12, 12, 500)
-        sigma = rng.uniform(0.1, 5, 500)
-        sample = CensoredSample(y, NoiseTerms(sigma))
-        nll_vec = censored_nll_array(sample, mu)
-        grad_vec = grad_mu_censored_nll_array(sample, mu)
-        for i in range(500):
-            term = CensoredNllTerm(y[i], mu[i], sigma[i])
-            assert nll_vec[i] == pytest.approx(censored_nll(term), rel=1e-14)
-            assert grad_vec[i] == pytest.approx(grad_mu_censored_nll(term), rel=1e-14)
-
     @settings(max_examples=300)
     @given(st.lists(st.tuples(
         st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
@@ -227,33 +194,6 @@ class TestArrayKernels:
             assert len(whole) == (1 if entry_warned else 0)
             assert all(w.category is SaturationWarning for w in whole + entry_warned)
             assert {str(w.message) for w in whole} == {str(w.message) for w in entry_warned}
-
-
-def reference_ratio(mu, sigma):
-    """``mu/sigma`` clamped to the cap, and whether some entry exceeded it."""
-    ratio = mu / sigma
-    exceeded = bool(np.count_nonzero(np.abs(ratio) > CENSORED_Z_CAP))
-    return np.clip(ratio, -CENSORED_Z_CAP, CENSORED_Z_CAP), exceeded
-
-
-def reference_nll(y, mu, sigma):
-    """The censored NLL written entry formula by entry formula: a fresh
-    array per operation, noise terms computed on the spot."""
-    resid = (y - mu) / sigma
-    out = 0.5 * resid * resid + np.log(sigma) + LOG_SQRT_2PI
-    c = y <= 0
-    ratio, exceeded = reference_ratio(mu[c], sigma[c])
-    out[c] = -log_ndtr(-ratio)
-    return out, exceeded
-
-
-def reference_grad(y, mu, sigma):
-    """d(reference_nll)/d(mu), written the same way."""
-    out = -(y - mu) / (sigma * sigma)
-    c = y <= 0
-    ratio, exceeded = reference_ratio(mu[c], sigma[c])
-    out[c] = math.sqrt(2.0 / math.pi) / (sigma[c] * erfcx(ratio / math.sqrt(2.0)))
-    return out, exceeded
 
 
 # a predictor: a plain value, NaN, or a multiple of its entry's sigma, which

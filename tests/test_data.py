@@ -490,6 +490,12 @@ class TestDatasetInvariants:
         with pytest.raises(InvalidArgumentError):
             Dataset(X=np.ones((2, 2)), Y=np.array([[1.0], [-0.5]]))
 
+    @pytest.mark.parametrize("bad", [-5.0, math.nan, math.inf])
+    def test_rejects_bad_target(self, bad):
+        # training reads its targets from a Dataset, so this is where they are checked
+        with pytest.raises(InvalidArgumentError):
+            Dataset(X=np.ones((2, 4)), Y=np.array([[1.0, 0.0], [1.0, bad]]))
+
     def test_rejects_nan(self):
         with pytest.raises(InvalidArgumentError):
             Dataset(X=np.array([[np.nan, 1.0]]), Y=np.ones((1, 1)))

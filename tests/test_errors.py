@@ -12,7 +12,7 @@ from subspace_net.data import Dataset, gen_deep, gen_heteroscedastic, gen_single
 from subspace_net.errors import DimensionError, InvalidArgumentError
 from subspace_net.layer import SubspaceLayer, TrainConfig, predict_batch, train_layer
 from subspace_net.metrics import anmse, mutual_coherence, weight_correlations
-from subspace_net.network import SubspaceNetwork, forward_batch
+from subspace_net.network import SubspaceNetwork, expand, forward_batch
 
 
 def _data():
@@ -69,6 +69,16 @@ CASES = {
     "weight_corr_shape": (
         lambda: weight_correlations(np.ones((2, 3)), np.ones((2, 4))),
         DimensionError),
+    "train_rank_float": (lambda: train_layer(_data(), TrainConfig(rank=2.0)),
+                         InvalidArgumentError),
+    "v_inner_steps_float": (lambda: TrainConfig(rank=2, v_inner_steps=2.5),
+                            InvalidArgumentError),
+    "v_inner_steps_bool": (lambda: TrainConfig(rank=2, v_inner_steps=True),
+                           InvalidArgumentError),
+    "expand_depth_float": (lambda: expand(_data(), 2.5, TrainConfig(rank=2)),
+                           InvalidArgumentError),
+    "expand_depth_str": (lambda: expand(_data(), "2", TrainConfig(rank=2)),
+                         InvalidArgumentError),
 }
 
 

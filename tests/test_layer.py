@@ -1,5 +1,5 @@
 """Tests for single-layer training: costs, gradient steps, and the one-pass
-contract, checked against finite-difference and scalar-loop oracles."""
+contract, checked against finite-difference and reference-formula oracles."""
 
 import math
 import warnings
@@ -7,8 +7,10 @@ import warnings
 import numpy as np
 import pytest
 
+from reference import numeric_gradient, reference_grad, reference_nll
+
 from subspace_net import layer as layer_module
-from subspace_net.censored import CensoredNllTerm, censored_nll, grad_mu_censored_nll
+from subspace_net.censored import CensoredSample, NoiseTerms, censored_nll_array
 from subspace_net.data import Dataset, gen_single_layer
 from subspace_net.errors import (
     DegenerateInputError,
@@ -20,11 +22,11 @@ from subspace_net.errors import (
 from subspace_net.layer import (
     SubspaceLayer,
     TrainConfig,
-    instantaneous_cost,
+    _cost,
+    _refine_step,
+    _sketch_step,
     predict_batch,
     predict_linear_batch,
-    refine_u_row,
-    sketch_v,
     train_layer,
 )
 
@@ -38,6 +40,15 @@ def random_layer(rng, t=3, d=4, r=2, lam=0.0, sigma=None):
     )
 
 
+def random_sample(rng, layer, censored=0.5):
+    """An input and targets for ``layer``'s sizes (a share ``censored`` of
+    them zero), with the sample the kernels take."""
+    x = rng.standard_normal(layer.d_in)
+    y = np.where(rng.random(layer.t_out) < censored, 0.0,
+                 rng.uniform(0.1, 3.0, layer.t_out))
+    return x, y, CensoredSample(y, NoiseTerms(layer.sigma))
+
+
 class TestInstantaneousCost:
     def test_zero_residuals_leave_constants(self):
         # an exact fit with all-positive predictors costs T times the
@@ -49,137 +60,105 @@ class TestInstantaneousCost:
             y = layer.U @ (layer.V @ x)
             if np.any(y <= 0):
                 continue
-            cost = instantaneous_cost(x, y, layer)
+            cost = _cost(y, CensoredSample(y, NoiseTerms(layer.sigma)),
+                         layer.U, layer.V, 0.0)
             assert cost == pytest.approx(4 * 0.5 * np.log(2 * np.pi), rel=1e-12)
 
     def test_all_censored_at_zero_map(self):
-        layer = SubspaceLayer(U=np.zeros((3, 2)), V=np.zeros((2, 4)),
-                              sigma=np.ones(3), lam=1.0)
-        cost = instantaneous_cost(np.ones(4), np.zeros(3), layer)
+        sample = CensoredSample(np.zeros(3), NoiseTerms(np.ones(3)))
+        cost = _cost(np.zeros(3), sample, np.zeros((3, 2)), np.zeros((2, 4)), 1.0)
         assert cost == pytest.approx(3 * np.log(2.0), rel=1e-12)
 
     def test_matches_scalar_loop_oracle(self):
         rng = np.random.default_rng(1)
         layer = random_layer(rng, t=3, d=4, r=2, lam=0.7,
                              sigma=rng.uniform(0.5, 2.0, 3))
-        x = rng.standard_normal(4)
-        y = np.where(rng.random(3) < 0.5, 0.0, rng.uniform(0.1, 3.0, 3))
-        mu_vec = layer.U @ (layer.V @ x)
-        expected = sum(
-            censored_nll(CensoredNllTerm(float(y[t]), float(mu_vec[t]), float(layer.sigma[t])))
-            for t in range(3))
+        x, y, sample = random_sample(rng, layer)
+        lin = layer.U @ (layer.V @ x)
+        expected = reference_nll(y, lin, layer.sigma)[0].sum()
         expected += 0.5 * 0.7 * (np.sum(layer.U ** 2) + np.sum(layer.V ** 2))
-        assert instantaneous_cost(x, y, layer) == pytest.approx(expected, rel=1e-12)
-
-    def test_shape_mismatch(self):
-        layer = random_layer(np.random.default_rng(2))
-        with pytest.raises(DimensionError):
-            instantaneous_cost(np.ones(7), np.zeros(3), layer)
-
-
-def numeric_v_gradient(x, y, layer, h=1e-6):
-    """Finite differences of instantaneous_cost with respect to V."""
-    grad = np.zeros_like(layer.V)
-    for i in range(layer.V.shape[0]):
-        for j in range(layer.V.shape[1]):
-            vp = layer.V.copy(); vp[i, j] += h
-            vm = layer.V.copy(); vm[i, j] -= h
-            up = SubspaceLayer(U=layer.U, V=vp, sigma=layer.sigma, lam=layer.lam)
-            dn = SubspaceLayer(U=layer.U, V=vm, sigma=layer.sigma, lam=layer.lam)
-            grad[i, j] = (instantaneous_cost(x, y, up) - instantaneous_cost(x, y, dn)) / (2 * h)
-    return grad
+        assert _cost(lin, sample, layer.U, layer.V, 0.7) == pytest.approx(expected, rel=1e-12)
 
 
 class TestSketchV:
+    """``_sketch_step`` updates its ``lin`` argument in place, so every call
+    gets a fresh ``U V x``."""
+
     def test_fixed_point_at_zero_gradient(self):
         # an all-censored sample with strongly negative predictors and lam=0
         # has essentially zero gradient, so V stays put
-        layer = SubspaceLayer(U=np.array([[1.0], [1.0]]),
-                              V=np.array([[-50.0, 0.0, 0.0]]),
-                              sigma=np.ones(2), lam=0.0)
-        cfg = TrainConfig(eta=0.1, mu=0.1, lam=0.0, rank=1, seed=0)
-        v_new = sketch_v(np.array([1.0, 0.0, 0.0]), np.zeros(2), layer, cfg)
-        np.testing.assert_allclose(v_new, layer.V, atol=1e-20)
+        u, v, x = np.ones((2, 1)), np.array([[-50.0, 0.0, 0.0]]), np.array([1.0, 0.0, 0.0])
+        sample = CensoredSample(np.zeros(2), NoiseTerms(np.ones(2)))
+        v_new, _, _ = _sketch_step(x, x @ x, u @ (v @ x), sample, u, v, 0.0, 0.1, 1)
+        np.testing.assert_allclose(v_new, v, atol=1e-20)
 
     def test_single_step_matches_finite_differences(self):
         rng = np.random.default_rng(3)
         for trial in range(50):
             layer = random_layer(rng, t=2, d=3, r=1, lam=rng.uniform(0, 1),
                                  sigma=rng.uniform(0.5, 2.0, 2))
-            x = rng.standard_normal(3)
-            y = np.where(rng.random(2) < 0.5, 0.0, rng.uniform(0.1, 3.0, 2))
-            cfg = TrainConfig(eta=1e-3, mu=1e-3, lam=layer.lam, rank=1,
-                              v_inner_steps=1, seed=0, step_decay=False)
-            v_new = sketch_v(x, y, layer, cfg)
-            step = (layer.V - v_new) / cfg.eta
-            fd = numeric_v_gradient(x, y, layer)
-            np.testing.assert_allclose(step, fd, rtol=1e-5, atol=1e-8)
+            x, y, sample = random_sample(rng, layer)
+            u, lam = layer.U, layer.lam
+            v_new, _, _ = _sketch_step(x, x @ x, u @ (layer.V @ x), sample, u,
+                                       layer.V, lam, 1e-3, 1)
+            fd = numeric_gradient(lambda v: _cost(u @ (v @ x), sample, u, v, lam),
+                                  layer.V, 1e-6)
+            np.testing.assert_allclose((layer.V - v_new) / 1e-3, fd, rtol=1e-5, atol=1e-8)
 
     def test_small_step_descends(self):
         rng = np.random.default_rng(4)
         for trial in range(100):
             layer = random_layer(rng, t=3, d=4, r=2, lam=rng.uniform(0, 0.5),
                                  sigma=rng.uniform(0.5, 2.0, 3))
-            x = rng.standard_normal(4)
-            y = np.where(rng.random(3) < 0.4, 0.0, rng.uniform(0.1, 3.0, 3))
-            cfg = TrainConfig(eta=1e-4, mu=1e-4, lam=layer.lam, rank=2, seed=0)
-            v_new = sketch_v(x, y, layer, cfg)
-            after = SubspaceLayer(U=layer.U, V=v_new, sigma=layer.sigma, lam=layer.lam)
-            assert instantaneous_cost(x, y, after) <= instantaneous_cost(x, y, layer) + 1e-12
+            x, y, sample = random_sample(rng, layer, censored=0.4)
+            u, v, lam = layer.U, layer.V, layer.lam
+            v_new, vx_new, _ = _sketch_step(x, x @ x, u @ (v @ x), sample, u, v, lam, 1e-4, 1)
+            before = _cost(u @ (v @ x), sample, u, v, lam)
+            assert _cost(u @ vx_new, sample, u, v_new, lam) <= before + 1e-12
 
     @pytest.mark.parametrize("steps", [1, 2, 8, 32])
     @pytest.mark.parametrize("lam", [0.0, 0.5])
     def test_matches_full_matrix_step_loop(self, steps, lam):
         # oracle: every inner step applied to the whole of V, as written in
-        # the paper, against the R-space loop sketch_v runs
+        # the paper, against the R-space loop _sketch_step runs
         rng = np.random.default_rng(100 + steps)
+        eta = 2e-2
         for trial in range(10):
             layer = random_layer(rng, t=5, d=7, r=3, lam=lam,
                                  sigma=rng.uniform(0.5, 2.0, 5))
             x = rng.standard_normal(7)
             y = np.where(rng.random(5) < 0.5, 0.0, rng.uniform(0.1, 3.0, 5))
             y[:2] = 0.0, 1.5  # both branches in every trial
-            cfg = TrainConfig(eta=2e-2, mu=1e-3, lam=lam, rank=3,
-                              v_inner_steps=steps, seed=0)
-            v = layer.V.copy()
+            u, v = layer.U, layer.V.copy()
             for _ in range(steps):
-                mu_vec = layer.U @ (v @ x)
-                grad = np.array([
-                    grad_mu_censored_nll(CensoredNllTerm(
-                        float(y[t]), float(mu_vec[t]), float(layer.sigma[t])))
-                    for t in range(5)])
-                v = v - cfg.eta * (np.outer(layer.U.T @ grad, x) + lam * v)
-            np.testing.assert_allclose(sketch_v(x, y, layer, cfg), v,
-                                       rtol=1e-12, atol=1e-14)
-
-    def test_huge_step_raises_step_size_error(self):
-        rng = np.random.default_rng(17)
-        layer = random_layer(rng, t=3, d=4, r=2)
-        cfg = TrainConfig(eta=1e100, mu=1e-3, rank=2, v_inner_steps=4, seed=0)
-        with pytest.raises(StepSizeError) as excinfo, warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # overflow precedes the check
-            sketch_v(rng.standard_normal(4), np.array([1.0, 0.0, 2.0]), layer, cfg)
-        assert excinfo.value.iteration == 0
+                grad = reference_grad(y, u @ (v @ x), layer.sigma)[0]
+                v = v - eta * (np.outer(u.T @ grad, x) + lam * v)
+            sample = CensoredSample(y, NoiseTerms(layer.sigma))
+            v_new, _, _ = _sketch_step(x, x @ x, u @ (layer.V @ x), sample, u,
+                                       layer.V, lam, eta, steps)
+            np.testing.assert_allclose(v_new, v, rtol=1e-12, atol=1e-14)
 
     def test_warm_start_not_mutating(self):
         rng = np.random.default_rng(5)
         layer = random_layer(rng)
-        before = layer.V.copy()
-        sketch_v(rng.standard_normal(4), np.zeros(3), layer,
-                 TrainConfig(eta=1e-2, mu=1e-2, rank=2, seed=0))
-        np.testing.assert_array_equal(layer.V, before)
+        before = layer.U.copy(), layer.V.copy()
+        x = rng.standard_normal(4)
+        sample = CensoredSample(np.zeros(3), NoiseTerms(layer.sigma))
+        _sketch_step(x, x @ x, layer.U @ (layer.V @ x), sample, layer.U, layer.V,
+                     0.0, 1e-2, 1)
+        np.testing.assert_array_equal(layer.U, before[0])
+        np.testing.assert_array_equal(layer.V, before[1])
 
 
 class TestRefineURow:
     def test_zero_gradient_keeps_row(self):
-        layer = SubspaceLayer(U=np.array([[0.5], [0.25]]),
-                              V=np.array([[-80.0, 0.0]]),
-                              sigma=np.ones(2), lam=0.0)
-        cfg = TrainConfig(eta=0.1, mu=0.1, lam=0.0, rank=1, seed=0)
-        row = refine_u_row(0, np.array([1.0, 0.0]), 0.0, layer, cfg)
-        np.testing.assert_allclose(row, layer.U[0], atol=1e-15)
+        u, vx = np.array([[0.5], [0.25]]), np.array([-80.0])
+        sample = CensoredSample(np.zeros(2), NoiseTerms(np.ones(2)))
+        np.testing.assert_allclose(_refine_step(vx, u @ vx, sample, u, 0.0, 0.1), u,
+                                   atol=1e-15)
 
     def test_matches_finite_differences(self):
+        # one row refined on its own against its task's objective
         rng = np.random.default_rng(6)
         for trial in range(50):
             layer = random_layer(rng, t=3, d=4, r=2, lam=rng.uniform(0, 1),
@@ -187,71 +166,26 @@ class TestRefineURow:
             x = rng.standard_normal(4)
             t_idx = int(rng.integers(0, 3))
             y_t = 0.0 if rng.random() < 0.5 else float(rng.uniform(0.1, 3.0))
-            cfg = TrainConfig(eta=1e-3, mu=1e-3, lam=layer.lam, rank=2, seed=0)
-            row = refine_u_row(t_idx, x, y_t, layer, cfg)
-            step = (layer.U[t_idx] - row) / cfg.mu
+            sample = CensoredSample(np.array([y_t]), NoiseTerms(layer.sigma[t_idx:t_idx + 1]))
+            row, vx, lam = layer.U[t_idx:t_idx + 1], layer.V @ x, layer.lam
+            step = (row - _refine_step(vx, row @ vx, sample, row, lam, 1e-3)) / 1e-3
 
-            def g_t(u_row):
-                mu_t = float(u_row @ (layer.V @ x))
-                nll = censored_nll(CensoredNllTerm(y_t, mu_t, float(layer.sigma[t_idx])))
-                return nll + 0.5 * layer.lam * float(u_row @ u_row)
+            def g_t(r):
+                return censored_nll_array(sample, r @ vx)[0] + 0.5 * lam * np.vdot(r, r)
 
-            h = 1e-6
-            fd = np.zeros(2)
-            for j in range(2):
-                up = layer.U[t_idx].copy(); up[j] += h
-                dn = layer.U[t_idx].copy(); dn[j] -= h
-                fd[j] = (g_t(up) - g_t(dn)) / (2 * h)
-            np.testing.assert_allclose(step, fd, rtol=1e-5, atol=1e-8)
+            np.testing.assert_allclose(step, numeric_gradient(g_t, row, 1e-6),
+                                       rtol=1e-5, atol=1e-8)
 
     def test_refining_all_rows_descends(self):
         rng = np.random.default_rng(7)
         for trial in range(100):
             layer = random_layer(rng, t=3, d=4, r=2, lam=rng.uniform(0, 0.5),
                                  sigma=rng.uniform(0.5, 2.0, 3))
-            x = rng.standard_normal(4)
-            y = np.where(rng.random(3) < 0.4, 0.0, rng.uniform(0.1, 3.0, 3))
-            cfg = TrainConfig(eta=1e-4, mu=1e-4, lam=layer.lam, rank=2, seed=0)
-            u_new = np.vstack([refine_u_row(t, x, float(y[t]), layer, cfg)
-                               for t in range(3)])
-            after = SubspaceLayer(U=u_new, V=layer.V, sigma=layer.sigma, lam=layer.lam)
-            assert instantaneous_cost(x, y, after) <= instantaneous_cost(x, y, layer) + 1e-12
-
-    def test_huge_step_raises_step_size_error(self):
-        layer = SubspaceLayer(U=np.ones((3, 2)), V=np.full((2, 4), 1e6), sigma=np.ones(3))
-        cfg = TrainConfig(mu=1e300, rank=2, seed=0)
-        with pytest.raises(StepSizeError, match="^basis row update diverged$") as excinfo, \
-                warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # overflow precedes the check
-            refine_u_row(1, np.ones(4), 0.0, layer, cfg)
-        assert excinfo.value.iteration == 0
-
-    def test_bad_task_index(self):
-        layer = random_layer(np.random.default_rng(8))
-        cfg = TrainConfig(rank=2, seed=0)
-        with pytest.raises(InvalidArgumentError):
-            refine_u_row(5, np.ones(4), 1.0, layer, cfg)
-
-
-@pytest.mark.parametrize("bad", [-5.0, math.nan, math.inf])
-class TestTargetValidation:
-    """The public ops reject a target that is negative or not finite."""
-
-    def test_instantaneous_cost(self, bad):
-        layer = random_layer(np.random.default_rng(18), t=2)
-        with pytest.raises(InvalidArgumentError):
-            instantaneous_cost(np.ones(4), np.array([1.0, bad]), layer)
-
-    def test_sketch_v(self, bad):
-        layer = random_layer(np.random.default_rng(19), t=2)
-        with pytest.raises(InvalidArgumentError):
-            sketch_v(np.ones(4), np.array([1.0, bad]), layer,
-                     TrainConfig(rank=2, seed=0))
-
-    def test_refine_u_row(self, bad):
-        layer = random_layer(np.random.default_rng(20), t=2)
-        with pytest.raises(InvalidArgumentError):
-            refine_u_row(0, np.ones(4), bad, layer, TrainConfig(rank=2, seed=0))
+            x, y, sample = random_sample(rng, layer, censored=0.4)
+            u, v, vx, lam = layer.U, layer.V, layer.V @ x, layer.lam
+            u_new = _refine_step(vx, u @ vx, sample, u, lam, 1e-4)
+            before = _cost(u @ vx, sample, u, v, lam)
+            assert _cost(u_new @ vx, sample, u_new, v, lam) <= before + 1e-12
 
 
 def probe_oracle(data, cfg, probe, n):
@@ -289,69 +223,45 @@ class TestTrainLayer:
         np.testing.assert_array_equal(l1.V, l2.V)
         np.testing.assert_array_equal(t1.costs, t2.costs)
 
-    def test_matches_manual_op_loop(self):
-        # the vectorized pass equals composing the public sketch/refine ops
-        data, _ = gen_single_layer(12, 5, 3, 2, 1.0, seed=4)
-        cfg = TrainConfig(eta=1e-3, mu=1e-3, lam=1e-2, rank=2, v_inner_steps=2,
-                          seed=5, step_decay=False)
-        layer, _ = train_layer(data, cfg)
-
-        rng = np.random.default_rng(cfg.seed)
-        u = rng.normal(0.0, cfg.init_scale / np.sqrt(cfg.rank), size=(3, 2))
-        v = rng.normal(0.0, cfg.init_scale / np.sqrt(5), size=(2, 5))
-        sigma = np.ones(3)
-        for i in range(data.n):
-            x, y = data.X[i], data.Y[i]
-            manual = SubspaceLayer(U=u, V=v, sigma=sigma, lam=cfg.lam)
-            v = sketch_v(x, y, manual, cfg)
-            manual = SubspaceLayer(U=u, V=v, sigma=sigma, lam=cfg.lam)
-            u = np.vstack([refine_u_row(t, x, float(y[t]), manual, cfg)
-                           for t in range(3)])
-        np.testing.assert_allclose(layer.U, u, rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(layer.V, v, rtol=1e-12, atol=1e-14)
-
     def test_matches_independent_op_loop(self):
-        # oracle: the paper's per-sample step written out with the scalar
-        # kernels, every sketch step on the whole of V and the refinement as
+        # oracle: the paper's per-sample step written out with the reference
+        # formulas, every sketch step on the whole of V and the refinement as
         # an explicit outer product, against the loop train_layer runs on
-        # U V x and the g terms
+        # U V x and the g terms; with decaying steps and per-task noise
+        # scales, and with constant steps and the default scales
         n, d, t, r, k = 40, 12, 6, 3, 4
         rng = np.random.default_rng(23)
         x_all = rng.standard_normal((n, d))
         y_all = np.where(rng.random((n, t)) < 0.4, 0.0, rng.uniform(0.1, 3.0, (n, t)))
         y_all[::5] = 0.0  # rows all censored
         y_all[2::5] = rng.uniform(0.1, 3.0, (len(y_all[2::5]), t))  # all observed
-        sigma = rng.uniform(0.5, 2.0, t)
-        cfg = TrainConfig(eta=5e-3, mu=1e-2, lam=0.2, rank=r, v_inner_steps=k,
-                          seed=24, step_decay=True, step_offset=10.0)
-        layer, trace = train_layer(Dataset(X=x_all, Y=y_all), cfg, sigma=sigma)
+        for decay, sigma in ((True, rng.uniform(0.5, 2.0, t)), (False, None)):
+            cfg = TrainConfig(eta=5e-3, mu=1e-2, lam=0.2, rank=r, v_inner_steps=k,
+                              seed=24, step_decay=decay, step_offset=10.0)
+            layer, trace = train_layer(Dataset(X=x_all, Y=y_all), cfg, sigma=sigma)
+            sigma = np.ones(t) if sigma is None else sigma
 
-        def terms(y, lin):
-            return [CensoredNllTerm(float(y[j]), float(lin[j]), float(sigma[j]))
-                    for j in range(t)]
-
-        init = np.random.default_rng(cfg.seed)
-        u = init.normal(0.0, cfg.init_scale / math.sqrt(r), size=(t, r))
-        v = init.normal(0.0, cfg.init_scale / math.sqrt(d), size=(r, d))
-        costs, du_norms = [], []
-        for i in range(n):
-            x, y = x_all[i], y_all[i]
-            scale = cfg.step_offset / (cfg.step_offset + i)
-            eta, mu = cfg.eta * scale, cfg.mu * scale
-            costs.append(sum(censored_nll(term) for term in terms(y, u @ v @ x))
-                         + 0.5 * cfg.lam * (np.sum(u ** 2) + np.sum(v ** 2)))
-            for _ in range(k):
-                grad = np.array([grad_mu_censored_nll(term)
-                                 for term in terms(y, u @ v @ x)])
-                v = v - eta * (np.outer(u.T @ grad, x) + cfg.lam * v)
-            coeff = np.array([grad_mu_censored_nll(term) for term in terms(y, u @ v @ x)])
-            u_new = u - mu * (np.outer(coeff, v @ x) + cfg.lam * u)
-            du_norms.append(np.linalg.norm(u_new - u))
-            u = u_new
-        np.testing.assert_allclose(layer.U, u, rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(layer.V, v, rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(trace.costs, costs, rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(trace.du_norms, du_norms, rtol=1e-12, atol=0.0)
+            init = np.random.default_rng(cfg.seed)
+            u = init.normal(0.0, cfg.init_scale / math.sqrt(r), size=(t, r))
+            v = init.normal(0.0, cfg.init_scale / math.sqrt(d), size=(r, d))
+            costs, du_norms = [], []
+            for i in range(n):
+                x, y = x_all[i], y_all[i]
+                scale = cfg.step_offset / (cfg.step_offset + i) if decay else 1.0
+                eta, mu = cfg.eta * scale, cfg.mu * scale
+                costs.append(reference_nll(y, u @ v @ x, sigma)[0].sum()
+                             + 0.5 * cfg.lam * (np.sum(u ** 2) + np.sum(v ** 2)))
+                for _ in range(k):
+                    grad = reference_grad(y, u @ v @ x, sigma)[0]
+                    v = v - eta * (np.outer(u.T @ grad, x) + cfg.lam * v)
+                coeff = reference_grad(y, u @ v @ x, sigma)[0]
+                u_new = u - mu * (np.outer(coeff, v @ x) + cfg.lam * u)
+                du_norms.append(np.linalg.norm(u_new - u))
+                u = u_new
+            np.testing.assert_allclose(layer.U, u, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(layer.V, v, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(trace.costs, costs, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(trace.du_norms, du_norms, rtol=1e-12, atol=0.0)
 
     def test_probe_trace_recorded(self):
         data, truth = gen_single_layer(30, 6, 4, 2, 0.5, seed=6)
@@ -481,8 +391,8 @@ class TestTrainLayer:
 
     def test_kernel_call_contract(self, monkeypatch):
         # one NLL call per sample (its cost) and one gradient call per inner
-        # sketch step plus one for the refinement; the kernels are looked up
-        # in the layer module at call time
+        # sketch step plus one for the refinement, made by the step routines;
+        # the kernels are looked up in the layer module at call time
         calls = {"nll": 0, "grad": 0}
 
         def counting(name, kernel):
@@ -500,17 +410,17 @@ class TestTrainLayer:
         layer, _ = train_layer(data, cfg)
         assert calls == {"nll": 9, "grad": 9 * (4 + 1)}
 
-        calls.update(nll=0, grad=0)
-        sketch_v(data.X[0], data.Y[0], layer, cfg)
-        assert calls == {"nll": 0, "grad": 4}
-
-        calls.update(nll=0, grad=0)
-        refine_u_row(1, data.X[0], float(data.Y[0, 1]), layer, cfg)
-        assert calls == {"nll": 0, "grad": 1}
-
-        calls.update(nll=0, grad=0)
-        instantaneous_cost(data.X[0], data.Y[0], layer)
-        assert calls == {"nll": 1, "grad": 0}
+        x, u, v = data.X[0], layer.U, layer.V
+        sample = CensoredSample(data.Y[0], NoiseTerms(layer.sigma))
+        for step, expected in (
+                (lambda: _cost(u @ (v @ x), sample, u, v, cfg.lam), {"nll": 1, "grad": 0}),
+                (lambda: _sketch_step(x, x @ x, u @ (v @ x), sample, u, v, cfg.lam,
+                                      cfg.eta, 4), {"nll": 0, "grad": 4}),
+                (lambda: _refine_step(v @ x, u @ (v @ x), sample, u, cfg.lam, cfg.mu),
+                 {"nll": 0, "grad": 1})):
+            calls.update(nll=0, grad=0)
+            step()
+            assert calls == expected
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(EmptyInputError):
