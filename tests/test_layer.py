@@ -188,6 +188,32 @@ class TestRefineURow:
             assert _cost(u_new @ vx, sample, u_new, v, lam) <= before + 1e-12
 
 
+@pytest.mark.parametrize("bad", [-5.0, math.nan, math.inf])
+class TestTargetValidation:
+    """A target that is negative or not finite is rejected before training
+    runs the cost, the sketch step or the refinement on it; each test makes
+    its step fail if it is reached."""
+
+    @staticmethod
+    def check_rejected_before(monkeypatch, step, bad):
+        def reached(*args):
+            raise AssertionError(f"{step} ran on a bad target")
+
+        monkeypatch.setattr(layer_module, step, reached)
+        with pytest.raises(InvalidArgumentError):
+            train_layer(Dataset(X=np.ones((2, 4)), Y=np.array([[1.0, bad], [1.0, 0.0]])),
+                        TrainConfig(rank=2, seed=0))
+
+    def test_instantaneous_cost(self, monkeypatch, bad):
+        self.check_rejected_before(monkeypatch, "_cost", bad)
+
+    def test_sketch_v(self, monkeypatch, bad):
+        self.check_rejected_before(monkeypatch, "_sketch_step", bad)
+
+    def test_refine_u_row(self, monkeypatch, bad):
+        self.check_rejected_before(monkeypatch, "_refine_step", bad)
+
+
 def probe_oracle(data, cfg, probe, n):
     """The probe values of the first ``n`` samples, one sample at a time:
     the basis after sample i is the one a pass over samples 0..i ends with,
@@ -223,45 +249,53 @@ class TestTrainLayer:
         np.testing.assert_array_equal(l1.V, l2.V)
         np.testing.assert_array_equal(t1.costs, t2.costs)
 
-    def test_matches_independent_op_loop(self):
+    @staticmethod
+    def check_against_op_loop(decay, with_sigma):
         # oracle: the paper's per-sample step written out with the reference
         # formulas, every sketch step on the whole of V and the refinement as
         # an explicit outer product, against the loop train_layer runs on
-        # U V x and the g terms; with decaying steps and per-task noise
-        # scales, and with constant steps and the default scales
+        # U V x and the g terms
         n, d, t, r, k = 40, 12, 6, 3, 4
         rng = np.random.default_rng(23)
         x_all = rng.standard_normal((n, d))
         y_all = np.where(rng.random((n, t)) < 0.4, 0.0, rng.uniform(0.1, 3.0, (n, t)))
         y_all[::5] = 0.0  # rows all censored
         y_all[2::5] = rng.uniform(0.1, 3.0, (len(y_all[2::5]), t))  # all observed
-        for decay, sigma in ((True, rng.uniform(0.5, 2.0, t)), (False, None)):
-            cfg = TrainConfig(eta=5e-3, mu=1e-2, lam=0.2, rank=r, v_inner_steps=k,
-                              seed=24, step_decay=decay, step_offset=10.0)
-            layer, trace = train_layer(Dataset(X=x_all, Y=y_all), cfg, sigma=sigma)
-            sigma = np.ones(t) if sigma is None else sigma
+        sigma = rng.uniform(0.5, 2.0, t) if with_sigma else None
+        cfg = TrainConfig(eta=5e-3, mu=1e-2, lam=0.2, rank=r, v_inner_steps=k,
+                          seed=24, step_decay=decay, step_offset=10.0)
+        layer, trace = train_layer(Dataset(X=x_all, Y=y_all), cfg, sigma=sigma)
+        sigma = np.ones(t) if sigma is None else sigma
 
-            init = np.random.default_rng(cfg.seed)
-            u = init.normal(0.0, cfg.init_scale / math.sqrt(r), size=(t, r))
-            v = init.normal(0.0, cfg.init_scale / math.sqrt(d), size=(r, d))
-            costs, du_norms = [], []
-            for i in range(n):
-                x, y = x_all[i], y_all[i]
-                scale = cfg.step_offset / (cfg.step_offset + i) if decay else 1.0
-                eta, mu = cfg.eta * scale, cfg.mu * scale
-                costs.append(reference_nll(y, u @ v @ x, sigma)[0].sum()
-                             + 0.5 * cfg.lam * (np.sum(u ** 2) + np.sum(v ** 2)))
-                for _ in range(k):
-                    grad = reference_grad(y, u @ v @ x, sigma)[0]
-                    v = v - eta * (np.outer(u.T @ grad, x) + cfg.lam * v)
-                coeff = reference_grad(y, u @ v @ x, sigma)[0]
-                u_new = u - mu * (np.outer(coeff, v @ x) + cfg.lam * u)
-                du_norms.append(np.linalg.norm(u_new - u))
-                u = u_new
-            np.testing.assert_allclose(layer.U, u, rtol=1e-12, atol=0.0)
-            np.testing.assert_allclose(layer.V, v, rtol=1e-12, atol=0.0)
-            np.testing.assert_allclose(trace.costs, costs, rtol=1e-12, atol=0.0)
-            np.testing.assert_allclose(trace.du_norms, du_norms, rtol=1e-12, atol=0.0)
+        init = np.random.default_rng(cfg.seed)
+        u = init.normal(0.0, cfg.init_scale / math.sqrt(r), size=(t, r))
+        v = init.normal(0.0, cfg.init_scale / math.sqrt(d), size=(r, d))
+        costs, du_norms = [], []
+        for i in range(n):
+            x, y = x_all[i], y_all[i]
+            scale = cfg.step_offset / (cfg.step_offset + i) if decay else 1.0
+            eta, mu = cfg.eta * scale, cfg.mu * scale
+            costs.append(reference_nll(y, u @ v @ x, sigma)[0].sum()
+                         + 0.5 * cfg.lam * (np.sum(u ** 2) + np.sum(v ** 2)))
+            for _ in range(k):
+                grad = reference_grad(y, u @ v @ x, sigma)[0]
+                v = v - eta * (np.outer(u.T @ grad, x) + cfg.lam * v)
+            coeff = reference_grad(y, u @ v @ x, sigma)[0]
+            u_new = u - mu * (np.outer(coeff, v @ x) + cfg.lam * u)
+            du_norms.append(np.linalg.norm(u_new - u))
+            u = u_new
+        np.testing.assert_allclose(layer.U, u, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(layer.V, v, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(trace.costs, costs, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(trace.du_norms, du_norms, rtol=1e-12, atol=0.0)
+
+    def test_matches_independent_op_loop(self):
+        # decaying steps and per-task noise scales
+        self.check_against_op_loop(decay=True, with_sigma=True)
+
+    def test_matches_manual_op_loop(self):
+        # constant steps and the default noise scales
+        self.check_against_op_loop(decay=False, with_sigma=False)
 
     def test_probe_trace_recorded(self):
         data, truth = gen_single_layer(30, 6, 4, 2, 0.5, seed=6)
