@@ -114,17 +114,19 @@ def _sub_seed(seed: int, *key: int) -> int:
 
 
 def _check_rank(r: int, t: int, d: int):
-    if not 1 <= r <= min(t, d):
+    if not (_is_int(r) and 1 <= r <= min(t, d)):
         raise InvalidArgumentError(
-            f"rank must satisfy 1 <= r <= min(t={t}, d={d}), got {r}")
+            f"rank must be an integer with 1 <= r <= min(t={t}, d={d}), got {r!r}")
+
+
+def _check_sizes(n, d, t, r, depth):
+    for name, val in (("n", n), ("d", d), ("t", t), ("depth", depth)):
+        if not (_is_int(val) and val >= 1):
+            raise InvalidArgumentError(f"{name} must be a positive integer, got {val!r}")
+    _check_rank(r, t, d)
 
 
 def _generate(n, d, t, r, sigma_row, depth, seed):
-    if n < 1 or d < 1 or t < 1:
-        raise InvalidArgumentError("n, d, t must all be >= 1")
-    if depth < 1:
-        raise InvalidArgumentError(f"depth must be >= 1, got {depth}")
-    _check_rank(r, t, d)
     x = _stream(seed, 0).standard_normal((n, d))
     truth = PlantedTruth(sigma=np.array(sigma_row, dtype=np.float64))
     h = x
@@ -157,8 +159,9 @@ def gen_deep(n: int, d: int, t: int, r: int, sigma: float, depth: int,
     concatenation in generation); the first layer consumes D features, later
     layers consume the T outputs of the previous one.
     """
-    if sigma < 0:
-        raise InvalidArgumentError(f"sigma must be nonnegative, got {sigma}")
+    _check_sizes(n, d, t, r, depth)
+    if not 0 <= sigma < math.inf:
+        raise InvalidArgumentError(f"sigma must be nonnegative and finite, got {sigma}")
     sigma_row = np.full(t, float(sigma))
     return _generate(n, d, t, r, sigma_row, depth, seed)
 
@@ -169,11 +172,13 @@ def gen_heteroscedastic(n: int, d: int, t: int, r: int, sigma_set,
 
     With a singleton set this is bit-identical to `gen_single_layer`.
     """
+    _check_sizes(n, d, t, r, 1)
     sigma_set = np.asarray(sigma_set, dtype=np.float64)
     if sigma_set.size == 0:
         raise EmptyInputError("sigma_set must be nonempty")
-    if np.any(sigma_set <= 0):
-        raise InvalidArgumentError("sigma_set entries must be positive")
+    if not np.all((sigma_set > 0) & (sigma_set < math.inf)):
+        raise InvalidArgumentError(
+            f"sigma_set entries must be positive and finite, got {sigma_set.tolist()}")
     sigma_row = _stream(seed, 4).choice(sigma_set, size=t)
     return _generate(n, d, t, r, sigma_row, 1, seed)
 

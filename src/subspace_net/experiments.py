@@ -28,9 +28,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .baselines import fit_ridge, predict_baseline
-from .config import ExperimentConfig
+from .config import ExperimentConfig, TrainSection
 from .data import (
     Dataset,
+    PlantedTruth,
     _atomic_write,
     _sub_seed,
     gen_deep,
@@ -50,9 +51,10 @@ from .network import (
     save_model,
 )
 
-# Reference target spread at which the default step sizes were tuned; with
-# train.scale_steps on, eta/mu and the init scale are adjusted so training
-# behaves identically on targets of any magnitude.
+# Reference target spread at which the default step sizes were tuned. With
+# train.scale_steps on, eta and mu scale with the target RMS and the init
+# scale is max(1, sqrt(rms / REFERENCE_TARGET_RMS)), so training behaves
+# identically on targets of any spread at or above this reference only.
 REFERENCE_TARGET_RMS = 11.5
 # regularization of the ridge baselines of `depth_sweep`
 RIDGE_LAMBDA = 1.0
@@ -75,27 +77,20 @@ def _make_data(cfg: ExperimentConfig, data_seed: int):
     return gen_heteroscedastic(d.n, d.d, d.t, d.r, d.sigma_set, seed=data_seed)
 
 
-def _train_config(cfg: ExperimentConfig, rank: int, seed: int,
-                  target_rms: float) -> TrainConfig:
-    tr = cfg.train
-    if tr.scale_steps:
-        scale = target_rms
-        init = max(1.0, math.sqrt(target_rms / REFERENCE_TARGET_RMS))
-    else:
-        scale = init = 1.0
-    return TrainConfig(eta=tr.eta * scale, mu=tr.mu * scale, lam=tr.lam,
-                       rank=rank, v_inner_steps=tr.v_inner_steps, seed=seed,
-                       init_scale=init, step_decay=tr.step_decay,
-                       step_offset=tr.step_offset)
-
-
-def _resolve_sigma(cfg: ExperimentConfig, truth, target_rms: float):
-    policy = cfg.train.sigma
-    if policy == "scaled":
-        return cfg.train.sigma_scale * target_rms
-    if policy == "planted":  # the config rejects it for csv data
-        return truth.sigma
-    return float(policy)
+def _train_policy(tr: TrainSection, rank: int, seed: int, targets: np.ndarray,
+                  truth: PlantedTruth | None) -> tuple[TrainConfig, float | np.ndarray]:
+    """The recipes' training config and likelihood noise scale for a cell
+    that trains on ``targets`` of a plant with ``truth`` (None for csv data,
+    which the config keeps from the "planted" policy)."""
+    target_rms = float(np.sqrt(np.mean(targets ** 2)))
+    scale = target_rms if tr.scale_steps else 1.0
+    init = max(1.0, math.sqrt(scale / REFERENCE_TARGET_RMS))
+    tc = TrainConfig(eta=tr.eta * scale, mu=tr.mu * scale, lam=tr.lam, rank=rank,
+                     v_inner_steps=tr.v_inner_steps, seed=seed, init_scale=init,
+                     step_decay=tr.step_decay, step_offset=tr.step_offset)
+    if tr.sigma == "scaled":
+        return tc, tr.sigma_scale * target_rms
+    return tc, truth.sigma if tr.sigma == "planted" else float(tr.sigma)
 
 
 def _base_row(cfg: ExperimentConfig, cell: Cell) -> dict:
@@ -146,18 +141,16 @@ def _trace_csv(trace) -> str:
 def _setup(cfg: ExperimentConfig, cell: Cell, csv_data: Dataset | None):
     """The preamble of every recipe: the planted truth (None for csv data),
     the training and validation data (the full dataset and None unless the
-    cell has a train fraction), the training config and the likelihood noise
-    scale. Both of the last scale with the target RMS of the training data
-    where the config asks for it. ``csv_data`` is the run's loaded csv
-    dataset, or None to draw the cell's planted data."""
+    cell has a train fraction), and the `_train_policy` of the training
+    data. ``csv_data`` is the run's loaded csv dataset, or None to draw the
+    cell's planted data."""
     data, truth = ((csv_data, None) if csv_data is not None
                    else _make_data(cfg, _sub_seed(cell.seed, 0)))
     train, valid = data, None
     if cell.fraction is not None:
         train, valid = split(data, cell.fraction, seed=_sub_seed(cell.seed, 3))
-    target_rms = float(np.sqrt(np.mean(train.Y ** 2)))
-    tc = _train_config(cfg, cell.rank, _sub_seed(cell.seed, 1), target_rms)
-    return truth, train, valid, tc, _resolve_sigma(cfg, truth, target_rms)
+    return (truth, train, valid,
+            *_train_policy(cfg.train, cell.rank, _sub_seed(cell.seed, 1), train.Y, truth))
 
 
 def _run_single_layer_recovery(cfg: ExperimentConfig, cell: Cell, csv_data, row: dict):

@@ -144,8 +144,11 @@ class TestValidate:
             assert capsys.readouterr().err == (
                 f"{path}: invalid JSON: nested too deeply\n")
 
-    def test_missing_file_is_io_error(self, tmp_path):
-        assert main(["validate", str(tmp_path / "absent.json")]) == 2
+    def test_missing_file_is_io_error(self, tmp_path, capsys):
+        path = tmp_path / "absent.json"
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{path}'\n")
 
     def test_validator_lists_all_problems(self):
         problems = validate_config_dict({"experiment": "nope", "seeds": []})
@@ -437,7 +440,7 @@ def edge_configs(draw):
 
 @settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(cfg=edge_configs())
-def test_a_config_that_validates_also_runs(tmp_path, cfg):
+def test_a_config_that_validates_also_runs(tmp_path, capsys, cfg):
     # `ssn validate` promises that `ssn run` gets past the config: every
     # cell either runs or records a typed error, and nothing escapes
     fx, fy = tmp_path / "features.csv", tmp_path / "targets.csv"
@@ -448,10 +451,16 @@ def test_a_config_that_validates_also_runs(tmp_path, cfg):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     if main(["validate", str(path)]) != 0:
+        assert capsys.readouterr().err.startswith(f"{path}: ")
         return
+    assert capsys.readouterr().out == "OK\n"
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # overflow and saturation on edge values
-        assert main(["run", str(path)]) in (0, 3)
+        code = main(["run", str(path)])
+    assert code in (0, 3)
+    failed = ("error: every cell failed; see the status column of "
+              f"{tmp_path / 'out' / 'results.csv'}\n")
+    assert capsys.readouterr().err == ("" if code == 0 else failed)
 
 
 class TestRun:
@@ -482,11 +491,12 @@ class TestRun:
         second = strip_wall_clock((out / "results.csv").read_text())
         assert first == second
 
-    def test_invalid_config_exit_1(self, tmp_path):
+    def test_invalid_config_exit_1(self, tmp_path, capsys):
         path = write_config(tmp_path, depth=0)
         assert main(["run", str(path)]) == 1
+        assert capsys.readouterr().err == f"{path}: $.depth: must be >= 1, got 0\n"
 
-    def test_all_cells_failing_exit_3(self, tmp_path):
+    def test_all_cells_failing_exit_3(self, tmp_path, capsys):
         # a divergent step size fails every cell numerically; the sweep
         # completes, records the failures, and signals exit 3
         import warnings
@@ -497,6 +507,7 @@ class TestRun:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # saturation precedes the blow-up
             assert main(["run", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("error: every cell failed; ")
         rows = (tmp_path / "out" / "results.csv").read_text().strip().splitlines()
         assert len(rows) == 3
         assert all("error:" in row for row in rows[1:])
@@ -719,7 +730,7 @@ class TestRun:
         for layer in net.layers:
             assert np.all(layer.sigma == 2.5)
 
-    def test_failed_cell_keeps_the_columns_filled_before_the_failure(self, tmp_path):
+    def test_failed_cell_keeps_the_columns_filled_before_the_failure(self, tmp_path, capsys):
         # task 3 is censored in every sample, so the validation ANMSE of
         # every cell is undefined; what the cell trained is still reported
         data, _ = gen_single_layer(150, 8, 4, 2, 1.0, seed=32)
@@ -731,6 +742,9 @@ class TestRun:
             tmp_path, seeds=[0],
             data={"kind": "csv", "features_path": str(fx), "targets_path": str(fy)})
         assert main(["run", str(path)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: every cell failed; see the status column of "
+            f"{tmp_path / 'out' / 'results.csv'}\n")
         with open(tmp_path / "out" / "results.csv", newline="") as fh:
             (row,) = list(csv.DictReader(fh))
         assert row["status"].startswith("error: ")
@@ -858,7 +872,7 @@ class TestPredict:
         _, preds = subspace_net.data.parse_numeric_csv(out, nonnegative=True)
         assert preds.tobytes() == forward_batch(net, data.X).tobytes()
 
-    def test_predict_dimension_mismatch(self, tmp_path):
+    def test_predict_dimension_mismatch(self, tmp_path, capsys):
         cfg_path = write_config(
             tmp_path, experiment="single_layer_recovery", fractions=None,
             seeds=[0], save_models=True,
@@ -870,8 +884,9 @@ class TestPredict:
         save_csv(data, fx, tmp_path / "unused.csv")
         assert main(["predict", "--model", str(model),
                      "--features", str(fx), "--out", str(tmp_path / "p.csv")]) == 2
+        assert capsys.readouterr().err == f"error: model expects 8 features, {fx} has 3\n"
 
-    def test_predict_invalid_model_structure_exit_2(self, tmp_path):
+    def test_predict_invalid_model_structure_exit_2(self, tmp_path, capsys):
         from test_network import write_invalid_model
         model = tmp_path / "model.ssnw"
         write_invalid_model(model, "zero_depth")
@@ -880,6 +895,8 @@ class TestPredict:
         save_csv(data, fx, tmp_path / "unused.csv")
         assert main(["predict", "--model", str(model),
                      "--features", str(fx), "--out", str(tmp_path / "p.csv")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {model}: invalid model structure: a network needs at least one layer\n")
 
     def test_predict_naive_model_exit_2(self, tmp_path, capsys):
         from test_network import write_naive_model
@@ -903,10 +920,12 @@ class TestPredict:
                      "--features", str(fx), "--out", str(tmp_path / "p.csv")]) == 2
         assert "feat.csv: not UTF-8 text" in capsys.readouterr().err
 
-    def test_predict_missing_model(self, tmp_path):
+    def test_predict_missing_model(self, tmp_path, capsys):
         assert main(["predict", "--model", str(tmp_path / "no.ssnw"),
                      "--features", str(tmp_path / "no.csv"),
                      "--out", str(tmp_path / "p.csv")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{tmp_path / 'no.ssnw'}'\n")
 
 
 class TestThreadPool:

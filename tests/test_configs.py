@@ -14,9 +14,15 @@ import os
 import pytest
 
 from subspace_net.cli import main
+from subspace_net.config import load_config
 
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
 CONFIGS = sorted(glob.glob(os.path.join(CONFIG_DIR, "*.json")))
+
+
+def shipped(recipe):
+    """The shipped config ``configs/<recipe>.json``."""
+    return load_config(os.path.join(CONFIG_DIR, f"{recipe}.json"))
 
 
 def _artifacts(out_dir) -> dict:

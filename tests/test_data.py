@@ -112,6 +112,21 @@ class TestGenHeteroscedastic:
             gen_heteroscedastic(10, 5, 4, 2, [], seed=1)
 
 
+# `nan < 0` and `inf <= 0` are false, so only a finiteness check stops a
+# non-finite noise scale before it fills the targets
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: gen_deep(10, 4, 3, 2, math.nan, 1, seed=0),
+                 "sigma must be nonnegative and finite, got nan", id="gen_deep_nan"),
+    pytest.param(lambda: gen_single_layer(10, 4, 3, 2, math.inf, seed=0),
+                 "sigma must be nonnegative and finite, got inf", id="gen_single_layer_inf"),
+    pytest.param(lambda: gen_heteroscedastic(10, 4, 3, 2, [0.5, math.inf], seed=0),
+                 r"sigma_set entries must be positive and finite, got \[0.5, inf\]",
+                 id="gen_heteroscedastic_inf")])
+def test_non_finite_planted_noise_is_invalid(call, message):
+    with pytest.raises(InvalidArgumentError, match=message):
+        call()
+
+
 class TestSplit:
     def test_floor_arithmetic(self):
         data, _ = gen_single_layer(670, 5, 3, 2, 1.0, seed=5)

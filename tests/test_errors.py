@@ -41,6 +41,14 @@ CASES = {
                          InvalidArgumentError),
     "gen_deep_negative_sigma": (lambda: gen_deep(10, 4, 3, 2, -1.0, 1, seed=0),
                                 InvalidArgumentError),
+    "gen_deep_depth_float": (lambda: gen_deep(10, 4, 3, 2, 1.0, 2.5, seed=0),
+                             InvalidArgumentError),
+    "gen_single_n_float": (lambda: gen_single_layer(10.0, 4, 3, 2, 1.0, seed=0),
+                           InvalidArgumentError),
+    "gen_single_r_float": (lambda: gen_single_layer(10, 4, 3, 2.0, 1.0, seed=0),
+                           InvalidArgumentError),
+    "gen_single_r_bool": (lambda: gen_single_layer(10, 4, 3, True, 1.0, seed=0),
+                          InvalidArgumentError),
     "gen_hetero_zero_sigma": (
         lambda: gen_heteroscedastic(10, 4, 3, 2, [1.0, 0.0], seed=0),
         InvalidArgumentError),

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from test_configs import shipped
 
 from subspace_net.data import Dataset, gen_heteroscedastic, gen_single_layer
 from subspace_net.errors import (
@@ -12,6 +13,7 @@ from subspace_net.errors import (
     ModelFormatError,
     ModelVersionError,
 )
+from subspace_net.experiments import _train_policy
 from subspace_net.layer import SubspaceLayer, TrainConfig, predict_batch, train_layer
 from subspace_net.network import (
     SubspaceNetwork,
@@ -268,11 +270,8 @@ class TestExpand:
         # into ever larger noise estimates
         from subspace_net.metrics import anmse
         data, truth = gen_heteroscedastic(600, 20, 8, 3, sigma_set=[0.5, 3.0], seed=1)
-        s = float(np.sqrt(np.mean(data.Y ** 2)))
-        cfg = TrainConfig(eta=1.74e-5 * s, mu=1.74e-4 * s, lam=1e-3, rank=3,
-                          v_inner_steps=8, seed=1, init_scale=max(1.0, np.sqrt(s / 11.5)))
-        net, _ = expand(data, 5, cfg, calibrate=True, sigma=0.1 * s,
-                        stop_on_degrade=False)
+        cfg, sigma = _train_policy(shipped("calibration_study").train, 3, 1, data.Y, truth)
+        net, _ = expand(data, 5, cfg, calibrate=True, sigma=sigma, stop_on_degrade=False)
         assert net.depth == 5
         for layer in net.layers[1:]:
             assert layer.sigma.max() <= 3.0 * truth.sigma.max()
