@@ -31,7 +31,7 @@ level; every violation is reported with its JSON path. The schema (version
                                                # ("planted": not for csv)
         "sigma_scale": float                   # alpha for the scaled policy
       },
-      "depth": int,                            # network depth K
+      "depth": int,                            # depth K; >= 2 for calibration_study
       "calibrate": bool,
       "fractions": [float, ...],               # train splits (split recipes
                                                # only; recovery recipes use
@@ -251,6 +251,9 @@ def validate_config_dict(obj) -> list[str]:
         train = obj.get("train")
         if isinstance(train, dict) and train.get("sigma") == "planted":
             problems.append(_err("train.sigma", "'planted' requires planted data, not csv"))
+    depth = obj.get("depth")
+    if obj.get("experiment") == "calibration_study" and depth == 1 and not _COUNT(depth):
+        problems.append(_err("$.depth", "must be >= 2 for calibration_study, got 1"))
     for key in ("seeds", "fractions", "ranks"):
         val = obj.get(key)
         # repr tells 1 from 1.0 and True, and takes unhashable entries

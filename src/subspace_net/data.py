@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import os
 import tempfile
 from array import array
@@ -36,8 +37,6 @@ class Dataset:
 
     X: np.ndarray
     Y: np.ndarray
-    feature_names: list[str] | None = None
-    target_names: list[str] | None = None
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=np.float64)
@@ -53,10 +52,6 @@ class Dataset:
             raise InvalidArgumentError("dataset contains non-finite entries")
         if np.any(self.Y < 0):
             raise InvalidArgumentError("targets must be nonnegative")
-        if self.feature_names is not None and len(self.feature_names) != self.X.shape[1]:
-            raise DimensionError("feature_names length does not match X")
-        if self.target_names is not None and len(self.target_names) != self.Y.shape[1]:
-            raise DimensionError("target_names length does not match Y")
 
     @property
     def n(self) -> int:
@@ -84,15 +79,16 @@ class PlantedTruth:
     vs: list[np.ndarray] = field(default_factory=list)
     sigma: np.ndarray = field(default_factory=lambda: np.array([]))
 
-    def weights(self, layer: int = 0) -> np.ndarray:
-        """Planted coefficient matrix ``U V`` of one layer."""
-        return self.us[layer] @ self.vs[layer]
-
 
 def _is_int(value) -> bool:
     """Whether ``value`` is an integer (a bool is not). numpy rejects a
     fractional seed, size or count with a bare ValueError or TypeError."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number; numpy reads True and "1" as 1."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _check_seed(seed: int):
@@ -160,8 +156,8 @@ def gen_deep(n: int, d: int, t: int, r: int, sigma: float, depth: int,
     layers consume the T outputs of the previous one.
     """
     _check_sizes(n, d, t, r, depth)
-    if not 0 <= sigma < math.inf:
-        raise InvalidArgumentError(f"sigma must be nonnegative and finite, got {sigma}")
+    if not (_is_real(sigma) and 0 <= sigma < math.inf):
+        raise InvalidArgumentError(f"sigma must be nonnegative and finite, got {sigma!r}")
     sigma_row = np.full(t, float(sigma))
     return _generate(n, d, t, r, sigma_row, depth, seed)
 
@@ -173,7 +169,10 @@ def gen_heteroscedastic(n: int, d: int, t: int, r: int, sigma_set,
     With a singleton set this is bit-identical to `gen_single_layer`.
     """
     _check_sizes(n, d, t, r, 1)
-    sigma_set = np.asarray(sigma_set, dtype=np.float64)
+    entries = sigma_set.tolist() if isinstance(sigma_set, np.ndarray) else sigma_set
+    if not (isinstance(entries, (list, tuple)) and all(map(_is_real, entries))):
+        raise InvalidArgumentError(f"sigma_set must list real numbers, got {sigma_set!r}")
+    sigma_set = np.asarray(entries, dtype=np.float64)
     if sigma_set.size == 0:
         raise EmptyInputError("sigma_set must be nonempty")
     if not np.all((sigma_set > 0) & (sigma_set < math.inf)):
@@ -198,9 +197,8 @@ def split(data: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dat
             f"train_fraction {train_fraction} leaves an empty training set")
     _check_seed(seed)
     perm = np.random.default_rng(seed).permutation(data.n)
-    names = dict(feature_names=data.feature_names, target_names=data.target_names)
-    train = Dataset(X=data.X[perm[:n_train]], Y=data.Y[perm[:n_train]], **names)
-    valid = Dataset(X=data.X[perm[n_train:]], Y=data.Y[perm[n_train:]], **names)
+    train = Dataset(X=data.X[perm[:n_train]], Y=data.Y[perm[:n_train]])
+    valid = Dataset(X=data.X[perm[n_train:]], Y=data.Y[perm[n_train:]])
     return train, valid
 
 
@@ -344,15 +342,15 @@ def load_csv(features_path, targets_path) -> Dataset:
     Both files are comma-separated UTF-8 with a header row and plain decimal
     numbers. Any missing, non-numeric, or non-finite cell, and any negative
     target, rejects the load with the exact file/line/column; nothing is
-    imputed.
+    imputed. A header sets its file's width; its names are not kept.
     """
-    feature_names, x = parse_numeric_csv(features_path)
-    target_names, y = parse_numeric_csv(targets_path, nonnegative=True)
+    _, x = parse_numeric_csv(features_path)
+    _, y = parse_numeric_csv(targets_path, nonnegative=True)
     if x.shape[0] != y.shape[0]:
         raise ParseError(
             f"row-count mismatch: {features_path} has {x.shape[0]} data rows, "
             f"{targets_path} has {y.shape[0]}")
-    return Dataset(X=x, Y=y, feature_names=feature_names, target_names=target_names)
+    return Dataset(X=x, Y=y)
 
 
 def _write_table(path, header, matrix):
@@ -389,10 +387,8 @@ def _atomic_write(path, blob: bytes):
 def save_csv(data: Dataset, features_path, targets_path):
     """Write a Dataset as the CSV pair `load_csv` reads.
 
-    Values are formatted with 17 significant digits, so a round trip
-    reproduces the float64 matrices exactly.
+    Headers are ``x<j>`` and ``y<j>``; values have 17 significant digits,
+    so a round trip reproduces the float64 matrices exactly.
     """
-    feature_names = data.feature_names or [f"x{j}" for j in range(data.d)]
-    target_names = data.target_names or [f"y{j}" for j in range(data.t)]
-    _write_table(features_path, feature_names, data.X)
-    _write_table(targets_path, target_names, data.Y)
+    _write_table(features_path, [f"x{j}" for j in range(data.d)], data.X)
+    _write_table(targets_path, [f"y{j}" for j in range(data.t)], data.Y)

@@ -45,7 +45,6 @@ from .layer import TrainConfig, train_layer
 from .metrics import anmse, mutual_coherence, weight_correlations
 from .network import (
     SubspaceNetwork,
-    calibrate_sigma,
     expand,
     forward_batch,
     save_model,
@@ -159,8 +158,7 @@ def _run_single_layer_recovery(cfg: ExperimentConfig, cell: Cell, csv_data, row:
     layer, trace = train_layer(data, tc, probe=probe, sigma=sigma)
     row["samples_seen"] = len(trace)
     if truth is not None:
-        w_hat = layer.U @ layer.V
-        w_true = truth.weights(0)
+        w_hat, w_true = layer.U @ layer.V, truth.us[0] @ truth.vs[0]
         row["weight_corr_median"] = float(np.median(weight_correlations(w_hat, w_true)))
         coh = mutual_coherence(layer.U, truth.us[0])
         row["max_coherence"] = coh.max_coherence
@@ -217,15 +215,14 @@ def _run_calibration_study(cfg: ExperimentConfig, cell: Cell, csv_data, row: dic
             for calibrate in (False, True)}
     row["anmse_noncalibrated"] = anmse(valid.Y, forward_batch(nets[False], valid.X))
     row["anmse_calibrated"] = anmse(valid.Y, forward_batch(nets[True], valid.X))
-    # layer 0 of an expansion is the layer `train_layer` returns
-    report = calibrate_sigma(nets[True].layers[0], train)
     if truth is not None:
-        # the share of task pairs of unequal planted noise that the
-        # calibrated scales order the same way; a pair of equal noise has
-        # gap 0, so it never agrees
+        # the share of task pairs of unequal planted noise that the scales
+        # calibrated from layer 0 order the same way; a pair of equal
+        # noise has gap 0, so it never agrees
+        sigma_hat = nets[True].layers[1].sigma
         a, b = np.triu_indices(train.t, k=1)
         gap = truth.sigma[a] - truth.sigma[b]
-        agree = np.count_nonzero((report.sigma[a] - report.sigma[b]) * gap > 0)
+        agree = np.count_nonzero((sigma_hat[a] - sigma_hat[b]) * gap > 0)
         total = np.count_nonzero(gap)
         row["sigma_rank_agreement"] = agree / total if total else 1.0
     return None, []

@@ -142,7 +142,8 @@ class TestCriterion2SingleLayerRecovery:
         ratio = float(idu.max() / np.median(idu))
         bounded = ratio <= 3.0
 
-        corr = float(np.median(weight_correlations(layer.U @ layer.V, truth.weights(0))))
+        w_true = truth.us[0] @ truth.vs[0]
+        corr = float(np.median(weight_correlations(layer.U @ layer.V, w_true)))
 
         slope = float(np.polyfit(np.log(np.arange(burn + 1, n + 1)),
                                  np.log(trace.du_norms[burn:]), 1)[0])

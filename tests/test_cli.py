@@ -28,7 +28,7 @@ from subspace_net.config import (
     validate_config_dict,
 )
 from subspace_net.data import gen_single_layer, load_csv, save_csv
-from subspace_net import experiments
+from subspace_net import experiments, network
 from subspace_net.errors import ConfigError
 from subspace_net.experiments import _trace_csv
 from subspace_net.layer import SubspaceLayer, TraceLog
@@ -196,6 +196,9 @@ PROBLEM_TABLE = [
     ({"depth": "3"}, (), ["$.depth: must be a number, got str"]),
     ({"depth": True}, (), ["$.depth: must be a number, got bool"]),
     ({"depth": None}, (), ["$.depth: must be a number, got NoneType"]),
+    # at depth 1 a calibration study calibrates nothing
+    ({"experiment": "calibration_study", "depth": 1}, (),
+     ["$.depth: must be >= 2 for calibration_study, got 1"]),
     # keys of retired network knobs are unknown like any other
     ({"pred_scale": 0}, (), ["$.pred_scale: unknown key"]),
     ({"skip_mode": "concat"}, (), ["$.skip_mode: unknown key"]),
@@ -657,18 +660,21 @@ class TestRun:
     def test_sigma_rank_agreement_is_the_pairwise_count(self, tmp_path, monkeypatch,
                                                         sigma_set):
         # reference: the loop over the task pairs of unequal planted noise
+        # and the scales calibration estimates from layer 0, the first
+        # calibrate_sigma call of the run
         seen = {}
 
-        def keep(name):
-            original = getattr(experiments, name)
+        def keep(module, name):
+            original = getattr(module, name)
 
             def wrapper(*args, **kwargs):
-                seen[name] = original(*args, **kwargs)
-                return seen[name]
-            monkeypatch.setattr(experiments, name, wrapper)
+                result = original(*args, **kwargs)
+                seen.setdefault(name, result)
+                return result
+            monkeypatch.setattr(module, name, wrapper)
 
-        keep("gen_heteroscedastic")
-        keep("calibrate_sigma")
+        keep(experiments, "gen_heteroscedastic")
+        keep(network, "calibrate_sigma")
         path = write_config(tmp_path, experiment="calibration_study", seeds=[0],
                             data={"kind": "planted_hetero", "n": 200, "d": 8, "t": 6,
                                   "r": 2, "sigma_set": sigma_set})

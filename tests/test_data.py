@@ -181,9 +181,8 @@ class TestCsvRoundTrip:
         fx.write_text("a,b,c\n1,2,3\n4,5,6\n")
         fy.write_text("s1,s2\n0.5,0\n1.25,2\n")
         data = load_csv(fx, fy)
-        assert (data.n, data.d, data.t) == (2, 3, 2)
-        assert data.feature_names == ["a", "b", "c"]
-        assert data.target_names == ["s1", "s2"]
+        np.testing.assert_array_equal(data.X, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        np.testing.assert_array_equal(data.Y, [[0.5, 0.0], [1.25, 2.0]])
 
     def test_nan_cell_rejected_with_location(self, tmp_path):
         fx = tmp_path / "features.csv"

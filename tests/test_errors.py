@@ -31,16 +31,15 @@ CASES = {
                          InvalidArgumentError),
     "dataset_1d_x": (lambda: Dataset(X=np.ones(3), Y=np.ones((3, 1))),
                      DimensionError),
-    "dataset_feature_names": (
-        lambda: Dataset(X=np.ones((2, 2)), Y=np.ones((2, 1)), feature_names=["a"]),
-        DimensionError),
-    "dataset_target_names": (
-        lambda: Dataset(X=np.ones((2, 2)), Y=np.ones((2, 1)), target_names=["a", "b"]),
-        DimensionError),
     "gen_deep_no_rows": (lambda: gen_deep(0, 4, 3, 2, 1.0, 1, seed=0),
                          InvalidArgumentError),
     "gen_deep_negative_sigma": (lambda: gen_deep(10, 4, 3, 2, -1.0, 1, seed=0),
                                 InvalidArgumentError),
+    # numpy reads a numeric string as its number and True as 1
+    "gen_deep_sigma_str": (lambda: gen_deep(10, 4, 3, 2, "1", 1, seed=0),
+                           InvalidArgumentError),
+    "gen_deep_sigma_bool": (lambda: gen_deep(10, 4, 3, 2, True, 1, seed=0),
+                            InvalidArgumentError),
     "gen_deep_depth_float": (lambda: gen_deep(10, 4, 3, 2, 1.0, 2.5, seed=0),
                              InvalidArgumentError),
     "gen_single_n_float": (lambda: gen_single_layer(10.0, 4, 3, 2, 1.0, seed=0),
@@ -51,6 +50,11 @@ CASES = {
                           InvalidArgumentError),
     "gen_hetero_zero_sigma": (
         lambda: gen_heteroscedastic(10, 4, 3, 2, [1.0, 0.0], seed=0),
+        InvalidArgumentError),
+    "gen_hetero_sigma_str": (lambda: gen_heteroscedastic(10, 4, 3, 2, ["a"], seed=0),
+                             InvalidArgumentError),
+    "gen_hetero_sigma_bool": (
+        lambda: gen_heteroscedastic(10, 4, 3, 2, [True, 2.0], seed=0),
         InvalidArgumentError),
     "layer_1d_u": (lambda: SubspaceLayer(U=np.ones(3), V=np.ones((2, 4)),
                                          sigma=np.ones(3)),

@@ -16,6 +16,7 @@ from subspace_net.errors import (
 from subspace_net.experiments import _train_policy
 from subspace_net.layer import SubspaceLayer, TrainConfig, predict_batch, train_layer
 from subspace_net.network import (
+    SIGMA_MAX,
     SubspaceNetwork,
     calibrate_sigma,
     expand,
@@ -193,6 +194,17 @@ class TestCalibrateSigma:
         assert rep.n_used[1] == 3
         np.testing.assert_allclose(rep.sigma[1], np.sqrt(10.0), rtol=1e-12)
 
+    def test_ceiling_clamps_only_the_task_above_it(self):
+        layer = SubspaceLayer(U=np.array([[1.0], [1.0]]), V=np.array([[1.0]]),
+                              sigma=np.ones(2), lam=0.0)
+        # task 0 misses by 0.5 everywhere; task 1 by hundreds
+        data = Dataset(X=np.array([[1.0], [2.0]]), Y=np.array([[1.5, 500.0], [2.5, 600.0]]))
+        rep = calibrate_sigma(layer, data)
+        np.testing.assert_allclose(rep.sigma[0], 0.5, rtol=1e-12)
+        assert rep.sigma[1] == SIGMA_MAX
+        np.testing.assert_array_equal(rep.clamped_high, [False, True])
+        assert not rep.clamped_low.any()
+
     def test_heteroscedastic_rank_agreement(self):
         data, truth = gen_heteroscedastic(3000, 30, 12, 3, [0.5, 3.0], seed=3)
         cfg = TrainConfig(rank=3, seed=0, v_inner_steps=8)
@@ -263,6 +275,23 @@ class TestExpand:
         base, _ = expand(data, 2, cfg, calibrate=False, stop_on_degrade=False)
         assert not np.allclose(net.layers[1].sigma, base.layers[1].sigma)
         np.testing.assert_array_equal(base.layers[1].sigma, np.ones(4))
+
+    def test_calibrated_layer_holds_the_estimate_of_its_predecessor(self):
+        data, _ = gen_heteroscedastic(80, 6, 4, 2, [0.5, 3.0], seed=25)
+        cfg = TrainConfig(rank=2, seed=26)
+        net, _ = expand(data, 2, cfg, calibrate=True, stop_on_degrade=False)
+        np.testing.assert_array_equal(net.layers[1].sigma,
+                                      calibrate_sigma(net.layers[0], data).sigma)
+
+    def test_depth_one_calibrates_nothing(self):
+        data, _ = gen_single_layer(40, 6, 4, 2, 1.0, seed=27)
+        cfg = TrainConfig(rank=2, seed=28)
+        (calibrated, traces), (base, base_traces) = (
+            expand(data, 1, cfg, calibrate=calibrate) for calibrate in (True, False))
+        for name in ("U", "V", "sigma"):
+            np.testing.assert_array_equal(getattr(calibrated.layers[0], name),
+                                          getattr(base.layers[0], name))
+        np.testing.assert_array_equal(traces[0].costs, base_traces[0].costs)
 
     def test_calibrated_expansion_stays_on_the_noise_scale(self):
         # calibrated layers must neither starve the noisy tasks (a deep net
