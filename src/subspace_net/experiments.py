@@ -45,6 +45,7 @@ from .layer import TrainConfig, train_layer
 from .metrics import anmse, mutual_coherence, weight_correlations
 from .network import (
     SubspaceNetwork,
+    _grow,
     expand,
     forward_batch,
     save_model,
@@ -210,9 +211,13 @@ def _run_depth_sweep(cfg: ExperimentConfig, cell: Cell, csv_data, row: dict):
 
 def _run_calibration_study(cfg: ExperimentConfig, cell: Cell, csv_data, row: dict):
     truth, train, valid, tc, sigma = _setup(cfg, cell, csv_data)
-    nets = {calibrate: expand(train, cfg.depth, tc, calibrate=calibrate, sigma=sigma,
-                              stop_on_degrade=False)[0]
-            for calibrate in (False, True)}
+    # both arms grow, unguarded, from one layer 0: calibration starts at layer 1
+    first, nets = _grow(train, [], None, tc, False, sigma), {}
+    for calibrate in (False, True):
+        layers, _, state = first
+        while len(layers) < cfg.depth:
+            layers, _, state = _grow(train, layers, state, tc, calibrate, sigma)
+        nets[calibrate] = SubspaceNetwork(layers=layers)
     row["anmse_noncalibrated"] = anmse(valid.Y, forward_batch(nets[False], valid.X))
     row["anmse_calibrated"] = anmse(valid.Y, forward_batch(nets[True], valid.X))
     if truth is not None:

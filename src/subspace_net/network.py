@@ -148,14 +148,13 @@ def _rms(m: np.ndarray) -> float:
     return float(np.sqrt(np.mean(m ** 2))) or 1.0
 
 
-def expand(data: Dataset, depth: int, cfg: TrainConfig, calibrate: bool = False,
-           sigma=None, stop_on_degrade: bool = True) -> tuple[SubspaceNetwork, list[TraceLog]]:
-    """Grow a network up to ``depth`` layers by greedy one-pass training.
-
-    Layer 0 trains on the raw features; each later layer trains on
-    ``[previous prediction; raw features]`` against the original targets,
-    and is frozen once trained. Without calibration every layer trains with
-    the noise scales ``sigma`` (default 1).
+def _grow(data: Dataset, layers: list[SubspaceLayer], state, cfg: TrainConfig,
+          calibrate: bool, sigma) -> tuple[list[SubspaceLayer], TraceLog, tuple]:
+    """Train layer ``k = len(layers)`` on top of ``layers`` with the noise
+    scales ``sigma`` (default 1). Return ``layers`` with it appended, its
+    trace, and the ``state`` the next step reads: the raw inputs it read and
+    its training prediction (None at layer 0). Layer k seeds from
+    ``cfg.seed`` and k, layer 0 from ``cfg.seed`` itself.
 
     With ``calibrate`` on, layer k >= 1 instead weights the tasks by the
     noise scales ``s_t`` that `calibrate_sigma` estimates from layer k-1's
@@ -178,6 +177,38 @@ def expand(data: Dataset, depth: int, cfg: TrainConfig, calibrate: bool = False,
     ones at layer 0) and its targets whitened per task by ``rows`` (all ones
     without calibration), and is stored as ``U / rows`` and ``V / cols``, so
     stored layers operate on the raw inputs and predict the raw targets.
+    """
+    sigma_k = noise = _noise_scales(sigma, data.t)
+    inputs, targets, cols, rows = data.X, data.Y, np.ones(data.d), np.ones(data.t)
+    if layers:
+        inputs, h = state
+        if calibrate:
+            # calibration only reweights tasks: whiten the targets so the weights
+            # c_t^2 average one, and train at the mean uncalibrated weight
+            noise = calibrate_sigma(layers[-1], Dataset(X=inputs, Y=data.Y)).sigma
+            rows = 1.0 / (noise * np.sqrt(np.mean(noise ** -2.0)))
+            targets = data.Y * rows
+            sigma_k = 1.0 / np.sqrt(np.mean(sigma_k ** -2.0))
+        inputs = np.concatenate([h, data.X], axis=1)
+        cols = np.repeat([_rms(h) / PRED_SCALE, _rms(data.X)], [data.t, data.d])
+    cfg_k = replace(cfg, seed=_sub_seed(cfg.seed, len(layers)) if layers else cfg.seed)
+    try:
+        trained, trace = train_layer(Dataset(X=inputs / cols, Y=targets), cfg_k, sigma=sigma_k)
+    except SubspaceNetError as exc:
+        exc.args = (f"layer {len(layers)}: {exc.args[0] if exc.args else ''}",)
+        raise
+    layer = SubspaceLayer(U=trained.U / rows[:, None], V=trained.V / cols,
+                          sigma=noise, lam=trained.lam)
+    return [*layers, layer], trace, (inputs, predict_batch(layer, inputs))
+
+
+def expand(data: Dataset, depth: int, cfg: TrainConfig, calibrate: bool = False,
+           sigma=None, stop_on_degrade: bool = True) -> tuple[SubspaceNetwork, list[TraceLog]]:
+    """Grow a network up to ``depth`` layers by greedy one-pass training.
+
+    Layer 0 trains on the raw features; each later layer trains on
+    ``[previous prediction; raw features]`` against the original targets,
+    and is frozen once trained; each layer is one `_grow` step.
 
     With ``stop_on_degrade`` (the greedy-boosting guard), a freshly trained
     layer is accepted only if it does not increase the training mean squared
@@ -186,49 +217,21 @@ def expand(data: Dataset, depth: int, cfg: TrainConfig, calibrate: bool = False,
     appending layers never degrades the training fit.
 
     With ``depth=1`` the result wraps exactly the output of `train_layer`
-    on the same arguments, and layer 0 of any expansion equals it. Layer
-    k's initialization seed is derived from ``cfg.seed`` and k (layer 0
-    uses ``cfg.seed`` itself).
+    on the same arguments, and layer 0 of any expansion equals it.
     """
     if not (_is_int(depth) and depth >= 1):
         raise InvalidArgumentError(f"depth must be a positive integer, got {depth!r}")
 
-    t = data.t
-    sigma_k = noise = _noise_scales(sigma, t)
-    skip_cols = np.full(data.d, _rms(data.X))
-    inputs, targets = data.X, data.Y
-    cols, rows = np.ones(data.d), np.ones(t)
     layers: list[SubspaceLayer] = []
     traces: list[TraceLog] = []
-    h_prev = None
-    for k in range(depth):
-        cfg_k = replace(cfg, seed=_sub_seed(cfg.seed, k) if k else cfg.seed)
-        try:
-            trained, trace = train_layer(
-                Dataset(X=inputs / cols, Y=targets), cfg_k, sigma=sigma_k)
-        except SubspaceNetError as exc:
-            exc.args = (f"layer {k}: {exc.args[0] if exc.args else ''}",)
-            raise
-        layer = SubspaceLayer(U=trained.U / rows[:, None], V=trained.V / cols,
-                              sigma=noise, lam=trained.lam)
-        h = predict_batch(layer, inputs)
-        if k > 0 and stop_on_degrade:
-            if np.mean((data.Y - h) ** 2) > np.mean((data.Y - h_prev) ** 2):
-                break
-        layers.append(layer)
+    state = None
+    for _ in range(depth):
+        grown, trace, next_state = _grow(data, layers, state, cfg, calibrate, sigma)
+        if layers and stop_on_degrade and (
+                np.mean((data.Y - next_state[1]) ** 2) > np.mean((data.Y - state[1]) ** 2)):
+            break
+        layers, state = grown, next_state
         traces.append(trace)
-        h_prev = h
-        if k + 1 < depth:
-            if calibrate:
-                # calibration contributes relative task weighting only: whiten
-                # the targets so the task weights c_t^2 average one, and train
-                # at the uniform scale carrying the mean uncalibrated weight
-                noise = calibrate_sigma(layer, Dataset(X=inputs, Y=data.Y)).sigma
-                rows = 1.0 / (noise * np.sqrt(np.mean(noise ** -2.0)))
-                targets = data.Y * rows
-                sigma_k = 1.0 / np.sqrt(np.mean(layers[0].sigma ** -2.0))
-            inputs = np.concatenate([h, data.X], axis=1)
-            cols = np.concatenate([np.full(t, _rms(h) / PRED_SCALE), skip_cols])
     return SubspaceNetwork(layers=layers), traces
 
 

@@ -687,6 +687,29 @@ class TestRun:
         assert float(row["sigma_rank_agreement"]) == (agree / len(pairs) if pairs else 1.0)
         assert bool(pairs) == (len(sigma_set) > 1)
 
+    def test_calibration_study_trains_layer_0_once(self, tmp_path, monkeypatch):
+        # both arms grow from one layer 0, so a depth-3 cell trains 5 layers
+        trained, nets = [], []
+        train_layer, forward = network.train_layer, experiments.forward_batch
+
+        def counted(*args, **kwargs):
+            trained.append(args)
+            return train_layer(*args, **kwargs)
+
+        def kept(net, x_mat):
+            nets.append(net)
+            return forward(net, x_mat)
+        monkeypatch.setattr(network, "train_layer", counted)
+        monkeypatch.setattr(experiments, "forward_batch", kept)
+        path = write_config(tmp_path, experiment="calibration_study", seeds=[0], depth=3,
+                            data={"kind": "planted_hetero", "n": 200, "d": 8, "t": 6,
+                                  "r": 2, "sigma_set": [0.5, 3.0]})
+        assert main(["run", str(path)]) == 0
+        assert len(trained) == 5
+        uncalibrated, calibrated = nets
+        assert uncalibrated.depth == calibrated.depth == 3
+        assert calibrated.layers[0] is uncalibrated.layers[0]
+
     def test_summary_covers_the_float_columns_recipes_write(self, tmp_path):
         # integer counts, config copies and the wall clock are not metrics
         path = write_config(tmp_path)

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from reference import numeric_gradient, reference_grad, reference_nll
+from test_configs import shipped
 
 from subspace_net import layer as layer_module
 from subspace_net.censored import CensoredSample, NoiseTerms, censored_nll_array
-from subspace_net.data import Dataset, gen_single_layer
+from subspace_net.data import Dataset, gen_single_layer, split
 from subspace_net.errors import (
     DegenerateInputError,
     DimensionError,
@@ -19,6 +20,7 @@ from subspace_net.errors import (
     InvalidArgumentError,
     StepSizeError,
 )
+from subspace_net.experiments import _make_data, _train_policy
 from subspace_net.layer import (
     SubspaceLayer,
     TrainConfig,
@@ -472,6 +474,39 @@ class TestTrainLayer:
         assert layer.U.shape == (5, 3)
         assert layer.V.shape == (3, 8)
         assert np.isfinite(layer.U).all() and np.isfinite(layer.V).all()
+
+
+class TestOnePassGap:
+    """On 3 of 25 seeds of criterion 9's plant the rank-5 layer misses one
+    planted direction in its one pass. The miss is slow growth, not lack of
+    identifiability: the same training split tiled four times lets the same
+    steps grow the fifth singular value of ``U V`` to near the planted one.
+    Data seed 2005 is such a seed, and data seed 2000 a control that one
+    pass already serves. A step policy that closes the gap restates the
+    first case."""
+
+    @staticmethod
+    def fifth_singular_values(seed):
+        cfg = shipped("rank_sweep")
+        data, truth = _make_data(cfg, 2000 + seed)
+        train, _ = split(data, 0.8, seed=seed)
+        tc, sigma = _train_policy(cfg.train, 5, seed, train.Y, truth)
+        tiled = Dataset(X=np.tile(train.X, (4, 1)), Y=np.tile(train.Y, (4, 1)))
+        passes = [train_layer(d, tc, sigma=sigma)[0] for d in (train, tiled)]
+        return [np.linalg.svd(m, compute_uv=False)[4]
+                for m in (truth.us[0] @ truth.vs[0], *(p.U @ p.V for p in passes))]
+
+    def test_one_pass_grows_the_fifth_direction_slowly(self):
+        # 16.85 planted, 2.98 after one pass, 14.82 after four
+        planted, one, four = self.fifth_singular_values(5)
+        assert one < 0.5 * planted
+        assert four > 0.8 * planted
+
+    def test_control_seed_needs_one_pass(self):
+        # 13.37 planted, 13.11 after one pass, 13.32 after four
+        planted, one, four = self.fifth_singular_values(0)
+        assert one > 0.8 * planted
+        assert four > 0.8 * planted
 
 
 class TestPredict:

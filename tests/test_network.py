@@ -18,6 +18,7 @@ from subspace_net.layer import SubspaceLayer, TrainConfig, predict_batch, train_
 from subspace_net.network import (
     SIGMA_MAX,
     SubspaceNetwork,
+    _grow,
     calibrate_sigma,
     expand,
     forward_batch,
@@ -306,6 +307,22 @@ class TestExpand:
             assert layer.sigma.max() <= 3.0 * truth.sigma.max()
         for k in range(1, net.depth + 1):
             assert anmse(data.Y, forward_batch(SubspaceNetwork(net.layers[:k]), data.X)) < 1.0
+
+    @pytest.mark.parametrize("calibrate", [False, True])
+    def test_step_by_step_equals_expand(self, calibrate):
+        # growing one layer at a time from layer 0 is the unguarded expansion
+        data, _ = gen_heteroscedastic(80, 6, 4, 2, [0.5, 3.0], seed=25)
+        cfg, sigma = TrainConfig(rank=2, seed=26), [1.0, 2.0, 0.5, 1.5]
+        net, traces = expand(data, 4, cfg, calibrate=calibrate, sigma=sigma,
+                             stop_on_degrade=False)
+        layers, state = [], None
+        for k in range(4):
+            layers, trace, state = _grow(data, layers, state, cfg, calibrate, sigma)
+            for name in ("U", "V", "sigma"):
+                np.testing.assert_array_equal(getattr(layers[k], name),
+                                              getattr(net.layers[k], name))
+            assert layers[k].lam == net.layers[k].lam
+            np.testing.assert_array_equal(trace.costs, traces[k].costs)
 
     def test_bad_depth(self):
         data, _ = gen_single_layer(10, 4, 3, 2, 1.0, seed=20)
