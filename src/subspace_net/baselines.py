@@ -15,9 +15,11 @@ import numpy as np
 
 from .data import Dataset
 from .errors import (
+    _NONNEGATIVE,
     ConditioningError,
     DimensionError,
     InvalidArgumentError,
+    check_argument,
 )
 
 
@@ -44,8 +46,7 @@ def fit_ridge(data: Dataset, ridge_lambda: float = 0.0) -> LinearModel:
     the Gram matrix is numerically positive definite; otherwise a
     ConditioningError suggests regularizing.
     """
-    if ridge_lambda < 0:
-        raise InvalidArgumentError(f"ridge_lambda must be >= 0, got {ridge_lambda}")
+    check_argument("ridge_lambda", ridge_lambda, _NONNEGATIVE)
     x_mean = data.X.mean(axis=0)
     y_mean = data.Y.mean(axis=0)
     xc = data.X - x_mean

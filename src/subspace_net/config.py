@@ -45,8 +45,10 @@ level; every violation is reported with its JSON path. The schema (version
 Only "experiment", "output_dir" and "seeds" are required. Each key's
 default and validation rule live on its field of `DataConfig`,
 `TrainSection` or `ExperimentConfig`, which are the schema the validator
-and the loader read. A list key must be a nonempty list, and then each
-entry is checked by the field's ``each`` rule and reported as ``key[i]``.
+and the loader read; the number, fraction and boolean rules live in
+`errors`, where the public functions take them for their own arguments.
+A list key must be a nonempty list, and then each entry is checked by the
+field's ``each`` rule and reported as ``key[i]``.
 A path is a nonempty string without NUL that `os.fsencode` and UTF-8 encode.
 For hyperparameter sweeps beyond ranks and fractions (for example the
 regularization grid 1e-4, 1e-3, 1e-2, 1e-1), run one config per value.
@@ -55,11 +57,19 @@ regularization grid 1e-4, 1e-3, 1e-2, 1e-1), run one config per value.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
-from .errors import ConfigError
+from .errors import (
+    _COUNT,
+    _NONNEGATIVE,
+    _POSITIVE,
+    _SEED,
+    ConfigError,
+    _boolean,
+    _fraction,
+    _real,
+)
 
 SCHEMA_VERSION = 1
 
@@ -67,28 +77,6 @@ EXPERIMENTS = ("single_layer_recovery", "deep_recovery", "depth_sweep",
                "calibration_study")
 DATA_KINDS = ("planted", "planted_deep", "planted_hetero", "csv")
 SIGMA_POLICIES = ("scaled", "planted")
-
-
-def _real(val) -> bool:
-    """A finite JSON number: ``json`` parses ``NaN`` and ``Infinity`` too."""
-    return not isinstance(val, bool) and (
-        isinstance(val, int) or (isinstance(val, float) and math.isfinite(val)))
-
-
-def _number(*, integer=False, minimum=None, exclusive_min=None):
-    def check(val):
-        if isinstance(val, float) and not math.isfinite(val):
-            return f"must be finite, got {val}"
-        if not _real(val):
-            return f"must be a number, got {type(val).__name__}"
-        if integer and not isinstance(val, int):
-            return "must be an integer"
-        if minimum is not None and val < minimum:
-            return f"must be >= {minimum}, got {val}"
-        if exclusive_min is not None and val <= exclusive_min:
-            return f"must be > {exclusive_min}, got {val}"
-        return None
-    return check
 
 
 def _one_of(options, message):
@@ -110,20 +98,10 @@ def _nonempty_list(val):
     return None if isinstance(val, list) and val else "must be a nonempty list"
 
 
-def _boolean(val):
-    return None if isinstance(val, bool) else "must be a boolean"
-
-
 def _sigma_policy(val):
     if (isinstance(val, str) and val in SIGMA_POLICIES) or (_real(val) and val > 0):
         return None
     return f"must be a positive number or one of {SIGMA_POLICIES}"
-
-
-def _fraction(val):
-    if _real(val) and 0.0 < val < 1.0:
-        return None
-    return f"must lie strictly in (0, 1), got {val}"
 
 
 def _setting(default, check, *, key=None, each=None):
@@ -135,12 +113,6 @@ def _setting(default, check, *, key=None, each=None):
     if isinstance(default, list):
         return field(default_factory=lambda: list(default), metadata=meta)
     return field(default=default, metadata=meta)
-
-
-_COUNT = _number(integer=True, minimum=1)
-_SEED = _number(integer=True, minimum=0)
-_NONNEGATIVE = _number(minimum=0.0)
-_POSITIVE = _number(exclusive_min=0.0)
 
 
 @dataclass

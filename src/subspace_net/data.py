@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 import os
 import tempfile
 from array import array
@@ -24,10 +23,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    _COUNT,
+    _NONNEGATIVE,
+    _POSITIVE,
+    _SEED,
     DimensionError,
     EmptyInputError,
     InvalidArgumentError,
     ParseError,
+    _fraction,
+    check_argument,
 )
 
 
@@ -80,25 +85,9 @@ class PlantedTruth:
     sigma: np.ndarray = field(default_factory=lambda: np.array([]))
 
 
-def _is_int(value) -> bool:
-    """Whether ``value`` is an integer (a bool is not). numpy rejects a
-    fractional seed, size or count with a bare ValueError or TypeError."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    """Whether ``value`` is a real number; numpy reads True and "1" as 1."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _check_seed(seed: int):
-    if not (_is_int(seed) and seed >= 0):
-        raise InvalidArgumentError(f"seed must be a nonnegative integer, got {seed}")
-
-
 def _stream(seed: int, *key: int) -> np.random.Generator:
     """Named substream of ``seed``; distinct keys never share state."""
-    _check_seed(seed)
+    check_argument("seed", seed, _SEED)
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
@@ -110,15 +99,14 @@ def _sub_seed(seed: int, *key: int) -> int:
 
 
 def _check_rank(r: int, t: int, d: int):
-    if not (_is_int(r) and 1 <= r <= min(t, d)):
-        raise InvalidArgumentError(
-            f"rank must be an integer with 1 <= r <= min(t={t}, d={d}), got {r!r}")
+    check_argument("rank", r, _COUNT)
+    if r > min(t, d):
+        raise InvalidArgumentError(f"rank must be <= min(t={t}, d={d}), got {r}")
 
 
 def _check_sizes(n, d, t, r, depth):
     for name, val in (("n", n), ("d", d), ("t", t), ("depth", depth)):
-        if not (_is_int(val) and val >= 1):
-            raise InvalidArgumentError(f"{name} must be a positive integer, got {val!r}")
+        check_argument(name, val, _COUNT)
     _check_rank(r, t, d)
 
 
@@ -156,8 +144,7 @@ def gen_deep(n: int, d: int, t: int, r: int, sigma: float, depth: int,
     layers consume the T outputs of the previous one.
     """
     _check_sizes(n, d, t, r, depth)
-    if not (_is_real(sigma) and 0 <= sigma < math.inf):
-        raise InvalidArgumentError(f"sigma must be nonnegative and finite, got {sigma!r}")
+    check_argument("sigma", sigma, _NONNEGATIVE)
     sigma_row = np.full(t, float(sigma))
     return _generate(n, d, t, r, sigma_row, depth, seed)
 
@@ -170,14 +157,13 @@ def gen_heteroscedastic(n: int, d: int, t: int, r: int, sigma_set,
     """
     _check_sizes(n, d, t, r, 1)
     entries = sigma_set.tolist() if isinstance(sigma_set, np.ndarray) else sigma_set
-    if not (isinstance(entries, (list, tuple)) and all(map(_is_real, entries))):
+    if not isinstance(entries, (list, tuple)):
         raise InvalidArgumentError(f"sigma_set must list real numbers, got {sigma_set!r}")
-    sigma_set = np.asarray(entries, dtype=np.float64)
-    if sigma_set.size == 0:
+    if not entries:
         raise EmptyInputError("sigma_set must be nonempty")
-    if not np.all((sigma_set > 0) & (sigma_set < math.inf)):
-        raise InvalidArgumentError(
-            f"sigma_set entries must be positive and finite, got {sigma_set.tolist()}")
+    for i, entry in enumerate(entries):
+        check_argument(f"sigma_set[{i}]", entry, _POSITIVE)
+    sigma_set = np.asarray(entries, dtype=np.float64)
     sigma_row = _stream(seed, 4).choice(sigma_set, size=t)
     return _generate(n, d, t, r, sigma_row, 1, seed)
 
@@ -188,14 +174,12 @@ def split(data: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dat
     The returned datasets keep the shuffled row order, so streaming over the
     training split already consumes samples in seeded random order.
     """
-    if not 0.0 < train_fraction < 1.0:
-        raise InvalidArgumentError(
-            f"train_fraction must lie in (0, 1), got {train_fraction}")
+    check_argument("train_fraction", train_fraction, _fraction)
     n_train = int(math.floor(train_fraction * data.n))
     if n_train < 1:
         raise InvalidArgumentError(
             f"train_fraction {train_fraction} leaves an empty training set")
-    _check_seed(seed)
+    check_argument("seed", seed, _SEED)
     perm = np.random.default_rng(seed).permutation(data.n)
     train = Dataset(X=data.X[perm[:n_train]], Y=data.Y[perm[:n_train]])
     valid = Dataset(X=data.X[perm[n_train:]], Y=data.Y[perm[n_train:]])

@@ -3,9 +3,15 @@
 Public functions raise these semantic errors instead of bare ValueError /
 RuntimeError so callers can distinguish bad arguments, degenerate inputs,
 diverging optimization, and corrupt files.
+
+It also holds the rules for scalar arguments that the config schema and
+the public functions share; `check_argument` applies one to an argument.
 """
 
 from __future__ import annotations
+
+import math
+import numbers
 
 
 class SubspaceNetError(Exception):
@@ -74,3 +80,48 @@ class ChecksumError(ModelFormatError):
 
 class SaturationWarning(RuntimeWarning):
     """Emitted when a censored-likelihood argument is clamped to its cap."""
+
+
+def _real(val) -> bool:
+    """A finite real, numpy's included; ``json`` parses ``NaN`` and ``Infinity``."""
+    return isinstance(val, numbers.Real) and not isinstance(val, bool) and (
+        isinstance(val, numbers.Integral) or math.isfinite(val))
+
+
+def _number(*, integer=False, minimum=None, exclusive_min=None):
+    def check(val):
+        if not isinstance(val, numbers.Real) or isinstance(val, bool):
+            return f"must be a number, got {type(val).__name__}"
+        if not (isinstance(val, numbers.Integral) or math.isfinite(val)):
+            return f"must be finite, got {val}"
+        if integer and not isinstance(val, numbers.Integral):
+            return "must be an integer"
+        if minimum is not None and val < minimum:
+            return f"must be >= {minimum}, got {val}"
+        if exclusive_min is not None and val <= exclusive_min:
+            return f"must be > {exclusive_min}, got {val}"
+        return None
+    return check
+
+
+_COUNT = _number(integer=True, minimum=1)
+_SEED = _number(integer=True, minimum=0)
+_NONNEGATIVE = _number(minimum=0.0)
+_POSITIVE = _number(exclusive_min=0.0)
+
+
+def _fraction(val):
+    if _real(val) and 0.0 < val < 1.0:
+        return None
+    return f"must lie strictly in (0, 1), got {val}"
+
+
+def _boolean(val):
+    return None if isinstance(val, bool) else "must be a boolean"
+
+
+def check_argument(name: str, val, rule):
+    """Raise `InvalidArgumentError` naming ``name`` when ``rule`` rejects ``val``."""
+    message = rule(val)
+    if message:
+        raise InvalidArgumentError(f"{name} {message}")

@@ -36,12 +36,18 @@ from .censored import (
     censored_nll_array,
     grad_mu_censored_nll_array,
 )
-from .data import Dataset, _check_rank, _check_seed, _is_int
+from .data import Dataset, _check_rank
 from .errors import (
+    _COUNT,
+    _NONNEGATIVE,
+    _POSITIVE,
+    _SEED,
     DegenerateInputError,
     DimensionError,
     InvalidArgumentError,
     StepSizeError,
+    _boolean,
+    check_argument,
 )
 from .metrics import aligned_subspace_difference, subspace_difference
 
@@ -72,20 +78,11 @@ class TrainConfig:
     step_offset: float = 500.0
 
     def __post_init__(self):
-        # comparisons written so that NaN fails them
-        if not (0 < self.eta < math.inf and 0 < self.mu < math.inf):
-            raise InvalidArgumentError("step sizes eta and mu must be positive and finite")
-        if not 0 <= self.lam < math.inf:
-            raise InvalidArgumentError("lam must be nonnegative and finite")
-        if not (_is_int(self.rank) and self.rank >= 1):
-            raise InvalidArgumentError("rank must be a positive integer")
-        if not (_is_int(self.v_inner_steps) and self.v_inner_steps >= 1):
-            raise InvalidArgumentError("v_inner_steps must be a positive integer")
-        if not 0 < self.init_scale < math.inf:
-            raise InvalidArgumentError("init_scale must be positive and finite")
-        if not 0 < self.step_offset < math.inf:
-            raise InvalidArgumentError("step_offset must be positive and finite")
-        _check_seed(self.seed)
+        for name, rule in (("eta", _POSITIVE), ("mu", _POSITIVE), ("lam", _NONNEGATIVE),
+                           ("rank", _COUNT), ("v_inner_steps", _COUNT), ("seed", _SEED),
+                           ("init_scale", _POSITIVE), ("step_decay", _boolean),
+                           ("step_offset", _POSITIVE)):
+            check_argument(name, getattr(self, name), rule)
 
 
 @dataclass
@@ -118,8 +115,7 @@ class SubspaceLayer:
             raise InvalidArgumentError("U and V must be finite")
         if np.any(self.sigma <= 0) or not np.isfinite(self.sigma).all():
             raise InvalidArgumentError("sigma entries must be positive and finite")
-        if not 0 <= self.lam < math.inf:
-            raise InvalidArgumentError("lam must be nonnegative and finite")
+        check_argument("lam", self.lam, _NONNEGATIVE)
 
     @property
     def t_out(self) -> int:

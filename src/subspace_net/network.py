@@ -16,8 +16,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, _atomic_write, _is_int, _sub_seed
+from .data import Dataset, _atomic_write, _sub_seed
 from .errors import (
+    _COUNT,
     ChecksumError,
     DimensionError,
     EmptyInputError,
@@ -26,6 +27,7 @@ from .errors import (
     ModelVersionError,
     SubspaceNetError,
     TruncatedModelError,
+    check_argument,
 )
 from .layer import (
     SubspaceLayer,
@@ -128,6 +130,9 @@ def calibrate_sigma(layer: SubspaceLayer, data: Dataset) -> CalibrationReport:
     censored tasks, where zero targets sit far from a strongly negative
     predictor. A task with no positive target falls back to every sample.
     """
+    if data.t != layer.t_out:
+        raise DimensionError(
+            f"targets have {data.t} tasks, but the layer predicts {layer.t_out}")
     used = data.Y > 0
     fallback = ~used.any(axis=0)
     used[:, fallback] = True
@@ -203,31 +208,30 @@ def _grow(data: Dataset, layers: list[SubspaceLayer], state, cfg: TrainConfig,
 
 
 def expand(data: Dataset, depth: int, cfg: TrainConfig, calibrate: bool = False,
-           sigma=None, stop_on_degrade: bool = True) -> tuple[SubspaceNetwork, list[TraceLog]]:
+           sigma=None) -> tuple[SubspaceNetwork, list[TraceLog]]:
     """Grow a network up to ``depth`` layers by greedy one-pass training.
 
     Layer 0 trains on the raw features; each later layer trains on
     ``[previous prediction; raw features]`` against the original targets,
     and is frozen once trained; each layer is one `_grow` step.
 
-    With ``stop_on_degrade`` (the greedy-boosting guard), a freshly trained
-    layer is accepted only if it does not increase the training mean squared
-    error of the network's predictions; the first rejected layer ends the
-    expansion, so the returned network may be shallower than ``depth`` and
-    appending layers never degrades the training fit.
+    A freshly trained layer is accepted only if it does not increase the
+    training mean squared error of the network's predictions (the
+    greedy-boosting guard); the first rejected layer ends the expansion, so
+    the returned network may be shallower than ``depth`` and appending
+    layers never degrades the training fit.
 
     With ``depth=1`` the result wraps exactly the output of `train_layer`
     on the same arguments, and layer 0 of any expansion equals it.
     """
-    if not (_is_int(depth) and depth >= 1):
-        raise InvalidArgumentError(f"depth must be a positive integer, got {depth!r}")
+    check_argument("depth", depth, _COUNT)
 
     layers: list[SubspaceLayer] = []
     traces: list[TraceLog] = []
     state = None
     for _ in range(depth):
         grown, trace, next_state = _grow(data, layers, state, cfg, calibrate, sigma)
-        if layers and stop_on_degrade and (
+        if layers and (
                 np.mean((data.Y - next_state[1]) ** 2) > np.mean((data.Y - state[1]) ** 2)):
             break
         layers, state = grown, next_state

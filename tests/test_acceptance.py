@@ -25,6 +25,7 @@ import time
 import numpy as np
 from reference import numeric_gradient
 from test_configs import shipped
+from test_network import grow
 
 import subspace_net as sn
 from subspace_net.baselines import fit_ridge, predict_baseline
@@ -53,6 +54,7 @@ from subspace_net.metrics import (
 )
 from subspace_net.network import (
     SubspaceNetwork,
+    _grow,
     calibrate_sigma,
     expand,
     forward_batch,
@@ -257,10 +259,11 @@ class TestCriterion6CalibrationHelps:
             data, truth = _make_data(cfg, seed + 5000)
             train, valid = split(data, 0.8, seed=seed)
             tc, sigma = _train_policy(cfg.train, cfg.train.rank, seed, train.Y, truth)
+            # both arms grow, unguarded, from one layer 0, as the recipe does
+            layers, _, state = _grow(train, [], None, tc, False, sigma)
             result = {}
             for calibrate in (False, True):
-                net, _ = expand(train, cfg.depth, tc, calibrate=calibrate, sigma=sigma,
-                                stop_on_degrade=False)
+                net, _ = grow(train, cfg.depth, tc, calibrate, sigma, start=(layers, state))
                 result[calibrate] = anmse(valid.Y, forward_batch(net, valid.X))
             rows.append((result[False], result[True]))
         arr = np.array(rows)
@@ -274,7 +277,7 @@ class TestCriterion7Contracts:
     def test_one_pass_and_determinism(self, tmp_path):
         data, _ = gen_single_layer(300, 10, 5, 2, 1.0, seed=7000)
         cfg = TrainConfig(rank=2, seed=3, v_inner_steps=2)
-        net, traces = expand(data, 3, cfg, stop_on_degrade=False)
+        net, traces = grow(data, 3, cfg)
         one_pass = all(len(trace) == data.n for trace in traces)
 
         import json

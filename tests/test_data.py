@@ -116,14 +116,13 @@ class TestGenHeteroscedastic:
 # non-finite noise scale before it fills the targets
 @pytest.mark.parametrize("call, message", [
     pytest.param(lambda: gen_deep(10, 4, 3, 2, math.nan, 1, seed=0),
-                 "sigma must be nonnegative and finite, got nan", id="gen_deep_nan"),
+                 "sigma must be finite, got nan", id="gen_deep_nan"),
     pytest.param(lambda: gen_single_layer(10, 4, 3, 2, math.inf, seed=0),
-                 "sigma must be nonnegative and finite, got inf", id="gen_single_layer_inf"),
+                 "sigma must be finite, got inf", id="gen_single_layer_inf"),
     pytest.param(lambda: gen_heteroscedastic(10, 4, 3, 2, [0.5, math.inf], seed=0),
-                 r"sigma_set entries must be positive and finite, got \[0.5, inf\]",
-                 id="gen_heteroscedastic_inf")])
+                 r"sigma_set\[1\] must be finite, got inf", id="gen_heteroscedastic_inf")])
 def test_non_finite_planted_noise_is_invalid(call, message):
-    with pytest.raises(InvalidArgumentError, match=message):
+    with pytest.raises(InvalidArgumentError, match=f"^{message}$"):
         call()
 
 
@@ -160,7 +159,9 @@ class TestSplit:
 
 # numpy's seeding raises a bare ValueError on a negative seed, and a
 # TypeError on a fractional one
-@pytest.mark.parametrize("seed", [-1, 1.5])
+@pytest.mark.parametrize("seed, message", [(-1, "seed must be >= 0, got -1"),
+                                           (1.5, "seed must be an integer")],
+                         ids=["-1", "1.5"])
 @pytest.mark.parametrize("call", [
     pytest.param(lambda s: gen_single_layer(10, 4, 3, 2, 1.0, seed=s), id="gen_single_layer"),
     pytest.param(lambda s: gen_deep(10, 4, 3, 2, 1.0, 2, seed=s), id="gen_deep"),
@@ -168,9 +169,8 @@ class TestSplit:
                  id="gen_heteroscedastic"),
     pytest.param(lambda s: split(gen_single_layer(10, 4, 3, 2, 1.0, seed=0)[0], 0.5, seed=s),
                  id="split")])
-def test_seed_that_is_not_a_nonnegative_integer_is_invalid(call, seed):
-    with pytest.raises(InvalidArgumentError,
-                       match=f"seed must be a nonnegative integer, got {seed}"):
+def test_seed_that_is_not_a_nonnegative_integer_is_invalid(call, seed, message):
+    with pytest.raises(InvalidArgumentError, match=f"^{message}$"):
         call(seed)
 
 

@@ -2,26 +2,27 @@
 
 Each row is a call with one bad argument and the error it must raise; the
 rest of the call is valid, so the row reaches exactly the check it names.
+A row also pins the message where a later check would raise the same error.
 """
 
 import numpy as np
 import pytest
 
-from subspace_net.baselines import LinearModel
-from subspace_net.data import Dataset, gen_deep, gen_heteroscedastic, gen_single_layer
+from subspace_net.baselines import LinearModel, fit_ridge
+from subspace_net.data import Dataset, gen_deep, gen_heteroscedastic, gen_single_layer, split
 from subspace_net.errors import DimensionError, InvalidArgumentError
 from subspace_net.layer import SubspaceLayer, TrainConfig, predict_batch, train_layer
 from subspace_net.metrics import anmse, mutual_coherence, weight_correlations
-from subspace_net.network import SubspaceNetwork, expand, forward_batch
+from subspace_net.network import SubspaceNetwork, calibrate_sigma, expand, forward_batch
 
 
 def _data():
     return gen_single_layer(20, 4, 3, 2, 1.0, seed=0)[0]
 
 
-def _layer(t=3, d=4, r=2, sigma=None):
+def _layer(t=3, d=4, r=2, sigma=None, lam=0.0):
     return SubspaceLayer(U=np.ones((t, r)), V=np.ones((r, d)),
-                         sigma=np.ones(t) if sigma is None else sigma)
+                         sigma=np.ones(t) if sigma is None else sigma, lam=lam)
 
 
 CASES = {
@@ -91,12 +92,38 @@ CASES = {
                            InvalidArgumentError),
     "expand_depth_str": (lambda: expand(_data(), "2", TrainConfig(rank=2)),
                          InvalidArgumentError),
+    # every scalar argument takes the config schema's rule: a finite real,
+    # numpy's included, and a bool is not a number
+    "train_config_eta_str": (lambda: TrainConfig(eta="1"), InvalidArgumentError),
+    "train_config_eta_bool": (lambda: TrainConfig(eta=True), InvalidArgumentError),
+    "train_config_eta_float32_nan": (lambda: TrainConfig(eta=np.float32("nan")),
+                                     InvalidArgumentError),
+    "train_config_lam_bool": (lambda: TrainConfig(lam=True), InvalidArgumentError),
+    "train_config_step_offset_bool": (lambda: TrainConfig(step_offset=True),
+                                      InvalidArgumentError),
+    "train_config_step_decay_str": (lambda: TrainConfig(step_decay="no"),
+                                    InvalidArgumentError),
+    "layer_lam_bool": (lambda: _layer(lam=True), InvalidArgumentError),
+    "split_fraction_str": (lambda: split(_data(), "0.5", seed=0), InvalidArgumentError),
+    "fit_ridge_str": (lambda: fit_ridge(_data(), "1"), InvalidArgumentError),
+    "fit_ridge_bool": (lambda: fit_ridge(_data(), True), InvalidArgumentError),
+    "fit_ridge_inf": (lambda: fit_ridge(_data(), np.inf), InvalidArgumentError),
+    # a NaN weight gives NaN coefficients, which LinearModel rejects too
+    "fit_ridge_nan": (lambda: fit_ridge(_data(), np.nan), InvalidArgumentError,
+                      "^ridge_lambda must be finite, got nan$"),
+    # targets of one task fewer, and one more, than the layer predicts
+    "calibrate_sigma_fewer_tasks": (
+        lambda: calibrate_sigma(_layer(), Dataset(X=np.ones((2, 4)), Y=np.ones((2, 2)))),
+        DimensionError),
+    "calibrate_sigma_more_tasks": (
+        lambda: calibrate_sigma(_layer(), Dataset(X=np.ones((2, 4)), Y=np.ones((2, 4)))),
+        DimensionError),
 }
 
 
 @pytest.mark.parametrize("name", CASES)
 def test_bad_input_raises_its_typed_error(name):
-    call, error = CASES[name]
-    with pytest.raises(error) as info:
+    call, error, *message = CASES[name]
+    with pytest.raises(error, match=message[0] if message else None) as info:
         call()
     assert type(info.value) is error

@@ -560,10 +560,12 @@ class TestTrainConfigValidation:
         with pytest.raises(InvalidArgumentError):
             TrainConfig(**{field: value})
 
-    @pytest.mark.parametrize("seed", [-1, 1.5])
-    def test_seed_checked_before_training(self, seed):
+    @pytest.mark.parametrize("seed, message", [(-1, "seed must be >= 0, got -1"),
+                                               (1.5, "seed must be an integer")],
+                             ids=["-1", "1.5"])
+    def test_seed_checked_before_training(self, seed, message):
         data, _ = gen_single_layer(20, 4, 3, 2, 1.0, seed=0)
-        with pytest.raises(InvalidArgumentError, match="seed must be a nonnegative integer"):
+        with pytest.raises(InvalidArgumentError, match=f"^{message}$"):
             train_layer(data, TrainConfig(rank=2, seed=seed))
 
 

@@ -33,6 +33,17 @@ def make_layer(rng, t, d_in, r=2, sigma=1.0):
                          sigma=np.full(t, sigma), lam=0.0)
 
 
+def grow(data, depth, cfg, calibrate=False, sigma=None, start=((), None)):
+    """The unguarded expansion: `_grow` steps from the ``(layers, state)``
+    of ``start`` until the network is ``depth`` layers deep. Returns the
+    network and the traces of the layers grown here."""
+    (layers, state), traces = start, []
+    while len(layers) < depth:
+        layers, trace, state = _grow(data, layers, state, cfg, calibrate, sigma)
+        traces.append(trace)
+    return SubspaceNetwork(layers=layers), traces
+
+
 def make_net(rng, depth=2, t=3, d=4):
     layers = [make_layer(rng, t, d)]
     for _ in range(depth - 1):
@@ -239,7 +250,7 @@ class TestExpand:
         np.testing.assert_array_equal(net.layers[0].V, layer.V)
         np.testing.assert_array_equal(traces[0].costs, trace.costs)
         # layer 0 of a deeper, calibrated expansion is the same layer
-        deep, deep_traces = expand(data, 2, cfg, calibrate=True, stop_on_degrade=False)
+        deep, deep_traces = grow(data, 2, cfg, calibrate=True)
         for name in ("U", "V", "sigma"):
             np.testing.assert_array_equal(getattr(deep.layers[0], name),
                                           getattr(layer, name))
@@ -248,7 +259,7 @@ class TestExpand:
 
     def test_one_pass_per_layer(self):
         data, _ = gen_single_layer(35, 6, 4, 2, 1.0, seed=12)
-        net, traces = expand(data, 3, TrainConfig(rank=2, seed=13), stop_on_degrade=False)
+        net, traces = grow(data, 3, TrainConfig(rank=2, seed=13))
         assert len(traces) == 3
         for trace in traces:
             assert len(trace) == data.n
@@ -256,15 +267,15 @@ class TestExpand:
     def test_frozen_layers_untouched_by_expansion(self):
         data, _ = gen_single_layer(30, 6, 4, 2, 1.0, seed=14)
         cfg = TrainConfig(rank=2, seed=15)
-        net2, _ = expand(data, 2, cfg, stop_on_degrade=False)
-        net4, _ = expand(data, 4, cfg, stop_on_degrade=False)
+        net2, _ = grow(data, 2, cfg)
+        net4, _ = grow(data, 4, cfg)
         for k in range(2):
             np.testing.assert_array_equal(net2.layers[k].U, net4.layers[k].U)
             np.testing.assert_array_equal(net2.layers[k].V, net4.layers[k].V)
 
     def test_dimension_chain(self):
         data, _ = gen_single_layer(30, 6, 4, 2, 1.0, seed=16)
-        net, _ = expand(data, 3, TrainConfig(rank=2, seed=17), stop_on_degrade=False)
+        net, _ = grow(data, 3, TrainConfig(rank=2, seed=17))
         assert net.layers[0].d_in == 6
         assert net.layers[1].d_in == 10
         assert net.layers[2].d_in == 10
@@ -272,15 +283,15 @@ class TestExpand:
     def test_calibrated_sigma_installed_into_next_layer(self):
         data, _ = gen_single_layer(60, 6, 4, 2, 1.0, seed=18)
         cfg = TrainConfig(rank=2, seed=19)
-        net, _ = expand(data, 2, cfg, calibrate=True, stop_on_degrade=False)
-        base, _ = expand(data, 2, cfg, calibrate=False, stop_on_degrade=False)
+        net, _ = grow(data, 2, cfg, calibrate=True)
+        base, _ = grow(data, 2, cfg, calibrate=False)
         assert not np.allclose(net.layers[1].sigma, base.layers[1].sigma)
         np.testing.assert_array_equal(base.layers[1].sigma, np.ones(4))
 
     def test_calibrated_layer_holds_the_estimate_of_its_predecessor(self):
         data, _ = gen_heteroscedastic(80, 6, 4, 2, [0.5, 3.0], seed=25)
         cfg = TrainConfig(rank=2, seed=26)
-        net, _ = expand(data, 2, cfg, calibrate=True, stop_on_degrade=False)
+        net, _ = grow(data, 2, cfg, calibrate=True)
         np.testing.assert_array_equal(net.layers[1].sigma,
                                       calibrate_sigma(net.layers[0], data).sigma)
 
@@ -301,7 +312,7 @@ class TestExpand:
         from subspace_net.metrics import anmse
         data, truth = gen_heteroscedastic(600, 20, 8, 3, sigma_set=[0.5, 3.0], seed=1)
         cfg, sigma = _train_policy(shipped("calibration_study").train, 3, 1, data.Y, truth)
-        net, _ = expand(data, 5, cfg, calibrate=True, sigma=sigma, stop_on_degrade=False)
+        net, _ = grow(data, 5, cfg, calibrate=True, sigma=sigma)
         assert net.depth == 5
         for layer in net.layers[1:]:
             assert layer.sigma.max() <= 3.0 * truth.sigma.max()
@@ -310,19 +321,25 @@ class TestExpand:
 
     @pytest.mark.parametrize("calibrate", [False, True])
     def test_step_by_step_equals_expand(self, calibrate):
-        # growing one layer at a time from layer 0 is the unguarded expansion
+        # expand's layers are the steps from layer 0, and it stops only
+        # before a step that raises the training mean squared error
         data, _ = gen_heteroscedastic(80, 6, 4, 2, [0.5, 3.0], seed=25)
         cfg, sigma = TrainConfig(rank=2, seed=26), [1.0, 2.0, 0.5, 1.5]
-        net, traces = expand(data, 4, cfg, calibrate=calibrate, sigma=sigma,
-                             stop_on_degrade=False)
+        net, traces = expand(data, 4, cfg, calibrate=calibrate, sigma=sigma)
         layers, state = [], None
         for k in range(4):
-            layers, trace, state = _grow(data, layers, state, cfg, calibrate, sigma)
+            grown, trace, grown_state = _grow(data, layers, state, cfg, calibrate, sigma)
+            if k == net.depth:
+                mse = [np.mean((data.Y - s[1]) ** 2) for s in (state, grown_state)]
+                assert mse[1] > mse[0]
+                break
             for name in ("U", "V", "sigma"):
-                np.testing.assert_array_equal(getattr(layers[k], name),
+                np.testing.assert_array_equal(getattr(grown[k], name),
                                               getattr(net.layers[k], name))
-            assert layers[k].lam == net.layers[k].lam
+            assert grown[k].lam == net.layers[k].lam
             np.testing.assert_array_equal(trace.costs, traces[k].costs)
+            layers, state = grown, grown_state
+        assert len(traces) == net.depth
 
     def test_bad_depth(self):
         data, _ = gen_single_layer(10, 4, 3, 2, 1.0, seed=20)
