@@ -19,7 +19,9 @@ from .errors import (
     ConditioningError,
     DimensionError,
     InvalidArgumentError,
+    _boolean,
     check_argument,
+    check_matrix,
 )
 
 
@@ -31,10 +33,10 @@ class LinearModel:
     intercept: np.ndarray
 
     def __post_init__(self):
-        self.W = np.asarray(self.W, dtype=np.float64)
+        self.W = check_matrix("W", self.W)
         self.intercept = np.asarray(self.intercept, dtype=np.float64)
-        if self.W.ndim != 2 or self.intercept.shape != (self.W.shape[0],):
-            raise DimensionError("W must be T x D with a length-T intercept")
+        if self.intercept.shape != (self.W.shape[0],):
+            raise DimensionError(f"intercept must have shape ({self.W.shape[0]},)")
         if not (np.isfinite(self.W).all() and np.isfinite(self.intercept).all()):
             raise InvalidArgumentError("model coefficients must be finite")
 
@@ -66,9 +68,7 @@ def fit_ridge(data: Dataset, ridge_lambda: float = 0.0) -> LinearModel:
 def predict_baseline(model: LinearModel, x_mat, censor: bool = False) -> np.ndarray:
     """Affine predictions ``X W' + intercept`` (N x T), clamped at zero when
     ``censor`` is set."""
-    x_mat = np.asarray(x_mat, dtype=np.float64)
-    if x_mat.ndim != 2 or x_mat.shape[1] != model.W.shape[1]:
-        raise DimensionError(
-            f"inputs must have shape (n, {model.W.shape[1]}), got {x_mat.shape}")
+    x_mat = check_matrix("inputs", x_mat, model.W.shape[1])
+    check_argument("censor", censor, _boolean)
     preds = x_mat @ model.W.T + model.intercept
     return np.maximum(preds, 0.0) if censor else preds

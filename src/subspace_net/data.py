@@ -33,6 +33,7 @@ from .errors import (
     ParseError,
     _fraction,
     check_argument,
+    check_matrix,
 )
 
 
@@ -44,10 +45,8 @@ class Dataset:
     Y: np.ndarray
 
     def __post_init__(self):
-        self.X = np.asarray(self.X, dtype=np.float64)
-        self.Y = np.asarray(self.Y, dtype=np.float64)
-        if self.X.ndim != 2 or self.Y.ndim != 2:
-            raise DimensionError("X and Y must be 2-D")
+        self.X = check_matrix("X", self.X)
+        self.Y = check_matrix("Y", self.Y)
         if self.X.shape[0] != self.Y.shape[0]:
             raise DimensionError(
                 f"X has {self.X.shape[0]} rows but Y has {self.Y.shape[0]}")

@@ -4,14 +4,17 @@ Public functions raise these semantic errors instead of bare ValueError /
 RuntimeError so callers can distinguish bad arguments, degenerate inputs,
 diverging optimization, and corrupt files.
 
-It also holds the rules for scalar arguments that the config schema and
-the public functions share; `check_argument` applies one to an argument.
+It also holds the rules that the config schema and the public functions
+share: `check_argument` applies a scalar rule to an argument, and
+`check_matrix` converts a matrix argument and checks its shape.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+
+import numpy as np
 
 
 class SubspaceNetError(Exception):
@@ -125,3 +128,13 @@ def check_argument(name: str, val, rule):
     message = rule(val)
     if message:
         raise InvalidArgumentError(f"{name} {message}")
+
+
+def check_matrix(name: str, value, width: int | None = None) -> np.ndarray:
+    """``value`` as a float64 array; raise `DimensionError` naming ``name``
+    unless it is 2-D, with ``width`` columns when ``width`` is given."""
+    value = np.asarray(value, dtype=np.float64)
+    if value.ndim != 2 or (width is not None and value.shape[1] != width):
+        columns = "" if width is None else f" with {width} columns"
+        raise DimensionError(f"{name} must be 2-D{columns}, got shape {value.shape}")
+    return value

@@ -48,6 +48,7 @@ from .errors import (
     StepSizeError,
     _boolean,
     check_argument,
+    check_matrix,
 )
 from .metrics import aligned_subspace_difference, subspace_difference
 
@@ -88,7 +89,8 @@ class TrainConfig:
 @dataclass
 class SubspaceLayer:
     """Trained layer state: basis U (T x R), sketch V (R x D_in), per-task
-    noise scales, and the regularization weight it was trained with."""
+    noise scales (given in any form `train_layer` takes), and the
+    regularization weight it was trained with."""
 
     U: np.ndarray
     V: np.ndarray
@@ -96,11 +98,8 @@ class SubspaceLayer:
     lam: float = 0.0
 
     def __post_init__(self):
-        self.U = np.asarray(self.U, dtype=np.float64)
-        self.V = np.asarray(self.V, dtype=np.float64)
-        self.sigma = np.asarray(self.sigma, dtype=np.float64)
-        if self.U.ndim != 2 or self.V.ndim != 2:
-            raise DimensionError("U and V must be 2-D")
+        self.U = check_matrix("U", self.U)
+        self.V = check_matrix("V", self.V)
         if self.U.shape[1] != self.V.shape[0]:
             raise DimensionError(
                 f"rank mismatch: U is {self.U.shape}, V is {self.V.shape}")
@@ -108,13 +107,9 @@ class SubspaceLayer:
             raise DimensionError(
                 "a layer needs at least one task, rank and input, got "
                 f"U {self.U.shape}, V {self.V.shape}")
-        if self.sigma.shape != (self.U.shape[0],):
-            raise DimensionError(
-                f"sigma must have one entry per task, got shape {self.sigma.shape}")
+        self.sigma = _noise_scales(self.sigma, self.U.shape[0])
         if not (np.isfinite(self.U).all() and np.isfinite(self.V).all()):
             raise InvalidArgumentError("U and V must be finite")
-        if np.any(self.sigma <= 0) or not np.isfinite(self.sigma).all():
-            raise InvalidArgumentError("sigma entries must be positive and finite")
         check_argument("lam", self.lam, _NONNEGATIVE)
 
     @property
@@ -203,9 +198,12 @@ def _step_scale(cfg: TrainConfig, i: int) -> float:
 
 
 def _noise_scales(sigma, t: int) -> np.ndarray:
-    if sigma is None:
-        return np.ones(t)
-    sigma = np.atleast_1d(np.asarray(sigma, dtype=np.float64))
+    """``t`` noise scales from None (all 1), one positive number, or a length-1
+    or length-``t`` vector of them; a bool or a string is not a number."""
+    sigma = np.asarray(1.0 if sigma is None else sigma)
+    if sigma.dtype.kind not in "iuf":
+        raise InvalidArgumentError(f"sigma must hold real numbers, got dtype {sigma.dtype}")
+    sigma = np.atleast_1d(sigma.astype(np.float64, copy=False))
     if sigma.shape == (1,):
         sigma = np.full(t, sigma[0])
     if sigma.shape != (t,):
@@ -237,10 +235,9 @@ def train_layer(data: Dataset, cfg: TrainConfig, probe: np.ndarray | None = None
     _check_rank(cfg.rank, t, d)
     sigma_vec = _noise_scales(sigma, t)
     if probe is not None:
-        probe = np.asarray(probe, dtype=np.float64)
-        if probe.shape != (t, cfg.rank):
-            raise DimensionError(
-                f"probe must have shape ({t}, {cfg.rank}), got {probe.shape}")
+        probe = check_matrix("probe", probe, cfg.rank)
+        if probe.shape[0] != t:
+            raise DimensionError(f"probe must have {t} rows, got shape {probe.shape}")
         if not np.isfinite(probe).all():
             raise InvalidArgumentError("probe must be finite")
         if not probe.any():
@@ -312,10 +309,7 @@ def train_layer(data: Dataset, cfg: TrainConfig, probe: np.ndarray | None = None
 
 def predict_linear_batch(layer: SubspaceLayer, x_mat) -> np.ndarray:
     """Pre-activation predictions for a batch of row vectors (N x D_in)."""
-    x_mat = np.asarray(x_mat, dtype=np.float64)
-    if x_mat.ndim != 2 or x_mat.shape[1] != layer.d_in:
-        raise DimensionError(
-            f"inputs must have shape (n, {layer.d_in}), got {x_mat.shape}")
+    x_mat = check_matrix("inputs", x_mat, layer.d_in)
     return (x_mat @ layer.V.T) @ layer.U.T
 
 

@@ -14,14 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateInputError, DimensionError, InvalidArgumentError
-
-
-def _as_matrix(a, name: str) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise DimensionError(f"{name} must be 2-D, got shape {a.shape}")
-    return a
+from .errors import DegenerateInputError, DimensionError, InvalidArgumentError, check_matrix
 
 
 def _scaled(*arrays, axis=None):
@@ -44,7 +37,7 @@ def _nonzero(norms: np.ndarray, what: str) -> np.ndarray:
 
 def _subspace_inputs(reference, candidate, same_shape: bool):
     """The checked reference, the candidate as a stack, and whether it was one."""
-    reference = _as_matrix(reference, "reference")
+    reference = check_matrix("reference", reference)
     stack = np.asarray(candidate, dtype=np.float64)
     if stack.ndim not in (2, 3):
         raise DimensionError(
@@ -124,8 +117,8 @@ def mutual_coherence(a: np.ndarray, b: np.ndarray) -> CoherenceSummary:
     of the spanned subspace, which makes it a robust recovery measure where
     `subspace_difference` is fragile. Values lie in [0, 1].
     """
-    a = _as_matrix(a, "a")
-    b = _as_matrix(b, "b")
+    a = check_matrix("a", a)
+    b = check_matrix("b", b)
     if a.shape[0] != b.shape[0]:
         raise DimensionError(f"row counts differ: {a.shape[0]} vs {b.shape[0]}")
     a, _ = _scaled(a, axis=0)
@@ -143,8 +136,8 @@ def weight_correlations(w_hat: np.ndarray, w_true: np.ndarray) -> np.ndarray:
     Row t of each matrix is one task's weight vector; returns a length-T
     array of correlations.
     """
-    w_hat = _as_matrix(w_hat, "w_hat")
-    w_true = _as_matrix(w_true, "w_true")
+    w_hat = check_matrix("w_hat", w_hat)
+    w_true = check_matrix("w_true", w_true)
     if w_hat.shape != w_true.shape:
         raise DimensionError(f"shape mismatch: {w_hat.shape} vs {w_true.shape}")
     w_hat, _ = _scaled(w_hat, axis=1)
@@ -163,8 +156,8 @@ def anmse(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     of squares, so predicting each task's mean scores exactly 1.0; the
     returned value is the mean over tasks.
     """
-    y_true = _as_matrix(y_true, "y_true")
-    y_pred = _as_matrix(y_pred, "y_pred")
+    y_true = check_matrix("y_true", y_true)
+    y_pred = check_matrix("y_pred", y_pred)
     if y_true.shape != y_pred.shape:
         raise DimensionError(f"shape mismatch: {y_true.shape} vs {y_pred.shape}")
     true, pred, exp = _scaled(y_true, y_pred, axis=0)

@@ -27,7 +27,9 @@ from .errors import (
     ModelVersionError,
     SubspaceNetError,
     TruncatedModelError,
+    _boolean,
     check_argument,
+    check_matrix,
 )
 from .layer import (
     SubspaceLayer,
@@ -110,10 +112,7 @@ class CalibrationReport:
 def forward_batch(net: SubspaceNetwork, x_mat) -> np.ndarray:
     """Evaluate the network on a batch of row vectors (N x D). The depth-k
     prediction is that of the first k layers, ``SubspaceNetwork(net.layers[:k])``."""
-    x_mat = np.asarray(x_mat, dtype=np.float64)
-    if x_mat.ndim != 2 or x_mat.shape[1] != net.input_dim:
-        raise DimensionError(
-            f"inputs must have shape (n, {net.input_dim}), got {x_mat.shape}")
+    x_mat = check_matrix("inputs", x_mat, net.input_dim)
     h = predict_batch(net.layers[0], x_mat)
     for layer in net.layers[1:]:
         h = predict_batch(layer, np.concatenate([h, x_mat], axis=1))
@@ -225,6 +224,7 @@ def expand(data: Dataset, depth: int, cfg: TrainConfig, calibrate: bool = False,
     on the same arguments, and layer 0 of any expansion equals it.
     """
     check_argument("depth", depth, _COUNT)
+    check_argument("calibrate", calibrate, _boolean)
 
     layers: list[SubspaceLayer] = []
     traces: list[TraceLog] = []

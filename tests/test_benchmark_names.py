@@ -4,12 +4,15 @@
 ``CROSS_MODULE_CALLS`` with a timing wrapper, and its `Api` reads the entry
 points the benchmark calls. A refactor that renames or drops one of them
 breaks the benchmark; these tests catch that without running a workload.
-The tracer is read and executed from its source, so nothing is written
-beside it.
+The config keys the workloads pin must also stay in the schema. The
+benchmark modules are read and executed from their source, so nothing is
+written beside them.
 """
 
+import copy
 import importlib
 import os
+import sys
 import types
 
 import numpy as np
@@ -17,21 +20,34 @@ import pytest
 
 import subspace_net
 from subspace_net import cli
+from subspace_net.config import validate_config_dict
 from subspace_net.data import parse_numeric_csv
 from subspace_net.layer import SubspaceLayer
 from subspace_net.network import SubspaceNetwork, save_model
 
-TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                      "perfbench", "tracer.py")
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
 MODULES = ("cli", "config", "data", "experiments", "layer", "network")
+
+
+def _from_source(stem):
+    """``perfbench/<stem>.py`` executed as a module registered in
+    ``sys.modules``, which its dataclasses read while being defined."""
+    path = os.path.join(PERFBENCH, f"{stem}.py")
+    module = types.ModuleType(f"perfbench_{stem}")
+    module.__file__ = path
+    sys.modules[module.__name__] = module
+    try:
+        with open(path, encoding="utf-8") as fh:
+            exec(compile(fh.read(), path, "exec"), module.__dict__)
+    finally:
+        del sys.modules[module.__name__]
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracer():
-    module = types.ModuleType("perfbench_tracer")
-    module.__file__ = TRACER
-    with open(TRACER, encoding="utf-8") as fh:
-        exec(compile(fh.read(), TRACER, "exec"), module.__dict__)
+    module = _from_source("tracer")
     for name in MODULES:
         importlib.import_module(f"subspace_net.{name}")
     return module
@@ -69,3 +85,17 @@ def test_predict_reads_features_through_the_patched_name(tmp_path, monkeypatch):
                      "--out", str(tmp_path / "predictions.csv")]) == 0
     assert calls == [(str(tmp_path / "features.csv"),)]
     assert len((tmp_path / "predictions.csv").read_text().splitlines()) == 3
+
+
+def test_workload_configs_validate(tmp_path):
+    # each config completed as its workload completes it, so a schema that
+    # drops or renames a key the benchmark writes fails here
+    workloads = _from_source("workloads")
+    ref = copy.deepcopy(workloads.TRAIN_REF_CONFIG)
+    ref["data"]["n"] = workloads.SIZES["ref"]["train_n"]
+    sweep = dict(workloads.SWEEP_CONFIG,
+                 data={"kind": "csv", "features_path": str(tmp_path / "features.csv"),
+                       "targets_path": str(tmp_path / "targets.csv")})
+    for cfg in (ref, sweep):
+        cfg.update(seeds=[0, 1], output_dir=str(tmp_path / "out"))
+        assert validate_config_dict(cfg) == []

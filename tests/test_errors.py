@@ -8,7 +8,7 @@ A row also pins the message where a later check would raise the same error.
 import numpy as np
 import pytest
 
-from subspace_net.baselines import LinearModel, fit_ridge
+from subspace_net.baselines import LinearModel, fit_ridge, predict_baseline
 from subspace_net.data import Dataset, gen_deep, gen_heteroscedastic, gen_single_layer, split
 from subspace_net.errors import DimensionError, InvalidArgumentError
 from subspace_net.layer import SubspaceLayer, TrainConfig, predict_batch, train_layer
@@ -67,6 +67,19 @@ CASES = {
     "train_sigma_shape": (
         lambda: train_layer(_data(), TrainConfig(rank=2), sigma=np.ones(2)),
         DimensionError),
+    # one noise-scale rule for the layer, training and expansion; numpy
+    # would read True as 1 and "2" as 2
+    "layer_sigma_bool": (lambda: _layer(sigma=[True] * 3), InvalidArgumentError),
+    "train_sigma_bool": (lambda: train_layer(_data(), TrainConfig(rank=2), sigma=True),
+                         InvalidArgumentError),
+    "train_sigma_numeric_str": (
+        lambda: train_layer(_data(), TrainConfig(rank=2), sigma="2"),
+        InvalidArgumentError),
+    "train_sigma_str": (
+        lambda: train_layer(_data(), TrainConfig(rank=2), sigma="scaled"),
+        InvalidArgumentError),
+    "expand_sigma_bool": (lambda: expand(_data(), 2, TrainConfig(rank=2), sigma=True),
+                          InvalidArgumentError),
     "train_probe_shape": (
         lambda: train_layer(_data(), TrainConfig(rank=2), probe=np.ones((3, 1))),
         DimensionError),
@@ -92,6 +105,14 @@ CASES = {
                            InvalidArgumentError),
     "expand_depth_str": (lambda: expand(_data(), "2", TrainConfig(rank=2)),
                          InvalidArgumentError),
+    # a flag must be a bool, since "no" is truthy
+    "expand_calibrate_str": (
+        lambda: expand(_data(), 2, TrainConfig(rank=2), calibrate="no"),
+        InvalidArgumentError),
+    "predict_baseline_censor_str": (
+        lambda: predict_baseline(LinearModel(W=np.ones((3, 4)), intercept=np.zeros(3)),
+                                 np.ones((1, 4)), censor="no"),
+        InvalidArgumentError),
     # every scalar argument takes the config schema's rule: a finite real,
     # numpy's included, and a bool is not a number
     "train_config_eta_str": (lambda: TrainConfig(eta="1"), InvalidArgumentError),

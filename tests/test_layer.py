@@ -584,3 +584,12 @@ class TestSubspaceLayerValidation:
         with pytest.raises(InvalidArgumentError):
             SubspaceLayer(U=np.ones((2, 1)), V=np.ones((1, 3)),
                           sigma=np.ones(2), lam=lam)
+
+    @pytest.mark.parametrize("sigma", [None, 2, 2.5, [2.5], np.float32(2.5)],
+                             ids=["none", "int", "float", "length1", "float32"])
+    def test_sigma_broadcasts_as_in_training(self, sigma):
+        data, _ = gen_single_layer(20, 4, 3, 2, 1.0, seed=0)
+        trained, _ = train_layer(data, TrainConfig(rank=2), sigma=sigma)
+        layer = SubspaceLayer(U=trained.U, V=trained.V, sigma=sigma)
+        assert layer.sigma.dtype == trained.sigma.dtype == np.float64
+        np.testing.assert_array_equal(layer.sigma, trained.sigma)
