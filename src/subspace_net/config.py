@@ -45,8 +45,10 @@ level; every violation is reported with its JSON path. The schema (version
 Only "experiment", "output_dir" and "seeds" are required. Each key's
 default and validation rule live on its field of `DataConfig`,
 `TrainSection` or `ExperimentConfig`, which are the schema the validator
-and the loader read; the number, fraction and boolean rules live in
-`errors`, where the public functions take them for their own arguments.
+and the loader read (`TrainSection` inherits the keys it shares with
+`layer.TrainConfig` from `layer.TrainSettings`). The field helper and the
+number, fraction and boolean rules live in `errors`, where the public
+functions take them for their own arguments.
 A list key must be a nonempty list, and then each entry is checked by the
 field's ``each`` rule and reported as ``key[i]``.
 A path is a nonempty string without NUL that `os.fsencode` and UTF-8 encode.
@@ -68,8 +70,9 @@ from .errors import (
     ConfigError,
     _boolean,
     _fraction,
-    _real,
+    _setting,
 )
+from .layer import TrainSettings
 
 SCHEMA_VERSION = 1
 
@@ -99,20 +102,9 @@ def _nonempty_list(val):
 
 
 def _sigma_policy(val):
-    if (isinstance(val, str) and val in SIGMA_POLICIES) or (_real(val) and val > 0):
+    if (isinstance(val, str) and val in SIGMA_POLICIES) or _POSITIVE(val) is None:
         return None
     return f"must be a positive number or one of {SIGMA_POLICIES}"
-
-
-def _setting(default, check, *, key=None, each=None):
-    """A config field: its default, its validation rule ``check`` (value ->
-    message or None), its JSON key when that differs from the field name,
-    and for lists an optional rule ``each`` for every entry. A field without
-    a default is required."""
-    meta = {"check": check, "key": key, "each": each}
-    if isinstance(default, list):
-        return field(default_factory=lambda: list(default), metadata=meta)
-    return field(default=default, metadata=meta)
 
 
 @dataclass
@@ -131,14 +123,7 @@ class DataConfig:
 
 
 @dataclass
-class TrainSection:
-    eta: float = _setting(2e-4, _POSITIVE)
-    mu: float = _setting(2e-3, _POSITIVE)
-    lam: float = _setting(1e-3, _NONNEGATIVE, key="lambda")
-    rank: int = _setting(5, _COUNT)
-    v_inner_steps: int = _setting(8, _COUNT)
-    step_decay: bool = _setting(True, _boolean)
-    step_offset: float = _setting(500.0, _POSITIVE)
+class TrainSection(TrainSettings):
     scale_steps: bool = _setting(False, _boolean)
     sigma: object = _setting("scaled", _sigma_policy)
     sigma_scale: float = _setting(0.1, _POSITIVE)

@@ -4,15 +4,16 @@ Public functions raise these semantic errors instead of bare ValueError /
 RuntimeError so callers can distinguish bad arguments, degenerate inputs,
 diverging optimization, and corrupt files.
 
-It also holds the rules that the config schema and the public functions
-share: `check_argument` applies a scalar rule to an argument, and
-`check_matrix` converts a matrix argument and checks its shape.
+It also holds what the config schema and the public functions share:
+`_setting` declares a field with its default and scalar rule, which
+`check_argument` applies, and `check_matrix` takes a real matrix argument.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from dataclasses import field
 
 import numpy as np
 
@@ -85,12 +86,6 @@ class SaturationWarning(RuntimeWarning):
     """Emitted when a censored-likelihood argument is clamped to its cap."""
 
 
-def _real(val) -> bool:
-    """A finite real, numpy's included; ``json`` parses ``NaN`` and ``Infinity``."""
-    return isinstance(val, numbers.Real) and not isinstance(val, bool) and (
-        isinstance(val, numbers.Integral) or math.isfinite(val))
-
-
 def _number(*, integer=False, minimum=None, exclusive_min=None):
     def check(val):
         if not isinstance(val, numbers.Real) or isinstance(val, bool):
@@ -114,13 +109,23 @@ _POSITIVE = _number(exclusive_min=0.0)
 
 
 def _fraction(val):
-    if _real(val) and 0.0 < val < 1.0:
+    if _POSITIVE(val) is None and val < 1.0:
         return None
     return f"must lie strictly in (0, 1), got {val}"
 
 
 def _boolean(val):
     return None if isinstance(val, bool) else "must be a boolean"
+
+
+def _setting(default, check, *, key=None, each=None):
+    """A field with its default, its rule ``check`` (value -> message or None),
+    its config key if not its name, and for lists an optional rule ``each``
+    for every entry. A field without a default is required."""
+    meta = {"check": check, "key": key, "each": each}
+    if isinstance(default, list):
+        return field(default_factory=lambda: list(default), metadata=meta)
+    return field(default=default, metadata=meta)
 
 
 def check_argument(name: str, val, rule):
@@ -130,10 +135,27 @@ def check_argument(name: str, val, rule):
         raise InvalidArgumentError(f"{name} {message}")
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
+def _real_array(name: str, value) -> np.ndarray:
+    """``value`` as a float64 array; a ragged sequence raises `DimensionError`
+    and a dtype of no integer or float kind `InvalidArgumentError`."""
+    try:
+        value = np.asarray(value)
+    except ValueError as exc:
+        raise DimensionError(f"{name} must not be a ragged sequence") from exc
+    if value.dtype is _FLOAT64:  # the common case costs no further call
+        return value
+    if value.dtype.kind not in "iuf":
+        raise InvalidArgumentError(f"{name} must hold real numbers, got dtype {value.dtype}")
+    return value.astype(np.float64)
+
+
 def check_matrix(name: str, value, width: int | None = None) -> np.ndarray:
-    """``value`` as a float64 array; raise `DimensionError` naming ``name``
+    """``value`` as a `_real_array`; raise `DimensionError` naming ``name``
     unless it is 2-D, with ``width`` columns when ``width`` is given."""
-    value = np.asarray(value, dtype=np.float64)
+    value = _real_array(name, value)
     if value.ndim != 2 or (width is not None and value.shape[1] != width):
         columns = "" if width is None else f" with {width} columns"
         raise DimensionError(f"{name} must be 2-D{columns}, got shape {value.shape}")

@@ -23,7 +23,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from .data import (
     split,
 )
 from .errors import SubspaceNetError
-from .layer import TrainConfig, train_layer
+from .layer import TrainConfig, TrainSettings, train_layer
 from .metrics import anmse, mutual_coherence, weight_correlations
 from .network import (
     SubspaceNetwork,
@@ -85,9 +85,9 @@ def _train_policy(tr: TrainSection, rank: int, seed: int, targets: np.ndarray,
     target_rms = float(np.sqrt(np.mean(targets ** 2)))
     scale = target_rms if tr.scale_steps else 1.0
     init = max(1.0, math.sqrt(scale / REFERENCE_TARGET_RMS))
-    tc = TrainConfig(eta=tr.eta * scale, mu=tr.mu * scale, lam=tr.lam, rank=rank,
-                     v_inner_steps=tr.v_inner_steps, seed=seed, init_scale=init,
-                     step_decay=tr.step_decay, step_offset=tr.step_offset)
+    shared = {f.name: getattr(tr, f.name) for f in fields(TrainSettings)}
+    tc = TrainConfig(**dict(shared, eta=tr.eta * scale, mu=tr.mu * scale, rank=rank,
+                            seed=seed, init_scale=init))
     if tr.sigma == "scaled":
         return tc, tr.sigma_scale * target_rms
     return tc, truth.sigma if tr.sigma == "planted" else float(tr.sigma)

@@ -26,7 +26,7 @@ call time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -47,6 +47,8 @@ from .errors import (
     InvalidArgumentError,
     StepSizeError,
     _boolean,
+    _real_array,
+    _setting,
     check_argument,
     check_matrix,
 )
@@ -57,33 +59,35 @@ PROBE_BLOCK = 32
 
 
 @dataclass
-class TrainConfig:
-    """Hyperparameters for one training pass.
+class TrainSettings:
+    """Hyperparameters shared by `TrainConfig` and a config's ``train`` section.
 
     ``eta`` and ``mu`` are the sketch and refinement step sizes. With
     ``step_decay`` on, both are scaled by ``step_offset / (step_offset + i)``
-    at sample i, i.e. roughly constant for the first ``step_offset`` samples
-    and ~1/i after, which matches the decay of successive-iterate distances
-    that one-pass recovery relies on. ``init_scale`` multiplies the default
-    initialization spreads ``1/sqrt(r)`` for U and ``1/sqrt(d_in)`` for V.
+    at sample i: about constant for the first ``step_offset`` samples and ~1/i
+    after, the decay of successive-iterate distances one-pass recovery needs.
     """
 
-    eta: float = 2e-4
-    mu: float = 2e-3
-    lam: float = 1e-3
-    rank: int = 5
-    v_inner_steps: int = 1
-    seed: int = 0
-    init_scale: float = 1.0
-    step_decay: bool = True
-    step_offset: float = 500.0
+    eta: float = _setting(2e-4, _POSITIVE)
+    mu: float = _setting(2e-3, _POSITIVE)
+    lam: float = _setting(1e-3, _NONNEGATIVE, key="lambda")
+    rank: int = _setting(5, _COUNT)
+    v_inner_steps: int = _setting(8, _COUNT)
+    step_decay: bool = _setting(True, _boolean)
+    step_offset: float = _setting(500.0, _POSITIVE)
 
     def __post_init__(self):
-        for name, rule in (("eta", _POSITIVE), ("mu", _POSITIVE), ("lam", _NONNEGATIVE),
-                           ("rank", _COUNT), ("v_inner_steps", _COUNT), ("seed", _SEED),
-                           ("init_scale", _POSITIVE), ("step_decay", _boolean),
-                           ("step_offset", _POSITIVE)):
-            check_argument(name, getattr(self, name), rule)
+        for f in fields(self):
+            check_argument(f.name, getattr(self, f.name), f.metadata["check"])
+
+
+@dataclass
+class TrainConfig(TrainSettings):
+    """Hyperparameters for one training pass. ``init_scale`` multiplies the
+    default initialization spreads ``1/sqrt(r)`` for U and ``1/sqrt(d_in)`` for V."""
+
+    seed: int = _setting(0, _SEED)
+    init_scale: float = _setting(1.0, _POSITIVE)
 
 
 @dataclass
@@ -199,11 +203,11 @@ def _step_scale(cfg: TrainConfig, i: int) -> float:
 
 def _noise_scales(sigma, t: int) -> np.ndarray:
     """``t`` noise scales from None (all 1), one positive number, or a length-1
-    or length-``t`` vector of them; a bool or a string is not a number."""
-    sigma = np.asarray(1.0 if sigma is None else sigma)
-    if sigma.dtype.kind not in "iuf":
-        raise InvalidArgumentError(f"sigma must hold real numbers, got dtype {sigma.dtype}")
-    sigma = np.atleast_1d(sigma.astype(np.float64, copy=False))
+    or length-``t`` vector of them; a bool or a string is not a number. numpy
+    reads ``[True, 2.0]`` as floats, so a list or tuple is checked for bools."""
+    if isinstance(sigma, (list, tuple)) and any(isinstance(s, (bool, np.bool_)) for s in sigma):
+        raise InvalidArgumentError("sigma entries must be numbers, got bool")
+    sigma = np.atleast_1d(_real_array("sigma", 1.0 if sigma is None else sigma))
     if sigma.shape == (1,):
         sigma = np.full(t, sigma[0])
     if sigma.shape != (t,):

@@ -11,6 +11,7 @@ written beside them.
 
 import copy
 import importlib
+import json
 import os
 import sys
 import types
@@ -25,8 +26,8 @@ from subspace_net.data import parse_numeric_csv
 from subspace_net.layer import SubspaceLayer
 from subspace_net.network import SubspaceNetwork, save_model
 
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                         "perfbench")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
 MODULES = ("cli", "config", "data", "experiments", "layer", "network")
 
 
@@ -99,3 +100,13 @@ def test_workload_configs_validate(tmp_path):
     for cfg in (ref, sweep):
         cfg.update(seeds=[0, 1], output_dir=str(tmp_path / "out"))
         assert validate_config_dict(cfg) == []
+
+
+def test_workload_configs_train_as_the_shipped_configs():
+    # the workloads copy these train sections; a step-policy change to a
+    # shipped config must reach the benchmark, or it times the old steps
+    workloads = _from_source("workloads")
+    for copied, recipe in ((workloads.TRAIN_REF_CONFIG, "single_layer_recovery"),
+                           (workloads.SWEEP_CONFIG, "depth_sweep")):
+        with open(os.path.join(ROOT, "configs", f"{recipe}.json"), encoding="utf-8") as fh:
+            assert copied["train"] == json.load(fh)["train"], recipe

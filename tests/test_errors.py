@@ -32,6 +32,15 @@ CASES = {
                          InvalidArgumentError),
     "dataset_1d_x": (lambda: Dataset(X=np.ones(3), Y=np.ones((3, 1))),
                      DimensionError),
+    # a matrix holds integers or floats: numpy would read True as 1, "1" as
+    # 1, drop an imaginary part, and raise a bare ValueError on a ragged list
+    "dataset_str_x": (lambda: Dataset(X=[["a"]], Y=[[1.0]]), InvalidArgumentError),
+    "dataset_ragged_x": (lambda: Dataset(X=[[1.0], [1.0, 2.0]], Y=[[1.0], [2.0]]),
+                         DimensionError),
+    "anmse_bool_and_str": (lambda: anmse([[True], [False]], [["1"], ["0"]]),
+                           InvalidArgumentError),
+    "anmse_complex": (lambda: anmse(np.ones((2, 1)), np.full((2, 1), 1 + 1j)),
+                      InvalidArgumentError),
     "gen_deep_no_rows": (lambda: gen_deep(0, 4, 3, 2, 1.0, 1, seed=0),
                          InvalidArgumentError),
     "gen_deep_negative_sigma": (lambda: gen_deep(10, 4, 3, 2, -1.0, 1, seed=0),
@@ -72,6 +81,11 @@ CASES = {
     "layer_sigma_bool": (lambda: _layer(sigma=[True] * 3), InvalidArgumentError),
     "train_sigma_bool": (lambda: train_layer(_data(), TrainConfig(rank=2), sigma=True),
                          InvalidArgumentError),
+    "train_sigma_bool_entry": (
+        lambda: train_layer(_data(), TrainConfig(rank=2), sigma=[True, 2.0, 2.0]),
+        InvalidArgumentError),
+    "layer_sigma_bool_entry": (lambda: _layer(sigma=[np.True_, 2.0, 2.0]),
+                               InvalidArgumentError),
     "train_sigma_numeric_str": (
         lambda: train_layer(_data(), TrainConfig(rank=2), sigma="2"),
         InvalidArgumentError),

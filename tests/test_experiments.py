@@ -1,14 +1,18 @@
 """The recipes' one training policy: `experiments._train_policy` turns a
 config's train section and the training targets into the step sizes, init
-scale and likelihood noise scale of a cell."""
+scale and likelihood noise scale of a cell. The section and `TrainConfig`
+take the settings they share with one default and one rule."""
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from subspace_net.config import TrainSection
+from subspace_net.config import TrainSection, validate_config_dict
 from subspace_net.data import PlantedTruth
+from subspace_net.errors import InvalidArgumentError
 from subspace_net.experiments import _train_policy
-from subspace_net.layer import TrainConfig
+from subspace_net.layer import TrainConfig, TrainSettings
 
 TRUTH = PlantedTruth(sigma=np.array([0.5, 3.0]))
 
@@ -38,3 +42,28 @@ def test_train_policy(name):
                              seed=7, init_scale=init_scale, step_decay=False,
                              step_offset=64.0)
     assert got is sigma if policy == "planted" else got == sigma
+
+
+SHARED = fields(TrainSettings)
+# one value per shared setting that its rule rejects
+BAD = {"eta": 0.0, "mu": -1.0, "lam": -1, "rank": 0, "v_inner_steps": 2.5,
+       "step_decay": "no", "step_offset": True}
+
+
+def test_shared_settings_have_one_default():
+    config, section = TrainConfig(), TrainSection()
+    assert [getattr(config, f.name) for f in SHARED] == \
+        [getattr(section, f.name) for f in SHARED]
+
+
+@pytest.mark.parametrize("setting", SHARED, ids=lambda f: f.name)
+def test_shared_settings_have_one_rule(setting):
+    bad = BAD[setting.name]
+    with pytest.raises(InvalidArgumentError) as info:
+        TrainConfig(**{setting.name: bad})
+    name, message = str(info.value).split(" ", 1)
+    key = setting.metadata["key"] or name
+    assert name == setting.name
+    assert validate_config_dict({"experiment": "single_layer_recovery", "output_dir": "out",
+                                 "seeds": [0], "train": {key: bad}}) == \
+        [f"train.{key}: {message}"]

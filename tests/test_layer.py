@@ -321,10 +321,10 @@ class TestTrainLayer:
         assert np.isfinite(u_last).all() and np.isfinite(v_last).all()
 
     def test_basis_divergence_keeps_state_and_probe_trace(self):
-        # a tiny sketch step keeps V finite while the huge basis step
+        # one tiny sketch step keeps V finite while the huge basis step
         # overflows U on sample 1, after one finite basis update
         data, truth = gen_single_layer(80, 6, 4, 2, 1.0, seed=3)
-        cfg = TrainConfig(eta=1e-12, mu=1e300, rank=2, step_decay=False)
+        cfg = TrainConfig(eta=1e-12, mu=1e300, rank=2, v_inner_steps=1, step_decay=False)
         with pytest.raises(StepSizeError) as excinfo, warnings.catch_warnings():
             warnings.simplefilter("ignore")  # saturation precedes the blow-up
             train_layer(data, cfg, probe=truth.us[0])
